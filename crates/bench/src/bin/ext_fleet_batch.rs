@@ -2,7 +2,7 @@
 //! population advanced tick-by-tick through the scalar baseline (one
 //! [`kelp_host::HostMachine::solve`] per machine per tick) and through the
 //! batched SoA path ([`kelp_workloads::FleetSim::step_batched`]) at several
-//! worker-shard counts.
+//! `--jobs` values, which the fleet ignores (it steps on one thread).
 //!
 //! Prints a per-mode comparison and writes `results/bench_fleet_batch.json`
 //! with aggregate host-steps/sec for every mode plus the batch path's work
@@ -21,7 +21,7 @@ use kelp_workloads::{FleetSim, FleetSimConfig};
 use serde::Serialize;
 use std::time::Instant;
 
-/// One (step path, shard count) measurement.
+/// One (step path, `jobs`) measurement.
 #[derive(Debug, Clone, Serialize)]
 struct ModeResult {
     mode: String,

@@ -12,12 +12,6 @@
 //! unknown host it only prints an advisory and exits 0, so CI donors with
 //! different hardware do not spuriously fail tier-1.
 //!
-//! Independent of the host table, a *structural* check applies whenever the
-//! fleet artifact was produced on a 1-CPU host: batched `jobs > 1` modes
-//! must not be slower than `jobs = 1` by more than the configured parity
-//! ratio (oversharding a single CPU should cost ~nothing because the engine
-//! clamps shard count to the machine supply).
-//!
 //! Every run appends a trend row to `results/perf-trend.jsonl` (skipped when
 //! identical to the previous row, so re-running the gate is idempotent).
 
@@ -130,42 +124,6 @@ fn batched_wall_s(fleet: &Value, jobs: u64) -> Option<f64> {
         .and_then(as_f64)
 }
 
-/// Checks batched jobs>1 parity against jobs=1 on 1-CPU artifacts. Returns
-/// the worst observed ratio and a violation message when it exceeds `max`.
-fn fleet_parity(results: &Path, max: f64) -> (Option<f64>, Option<String>) {
-    let Some(fleet) = load_json(&results.join("bench_fleet_batch.json")) else {
-        return (None, None);
-    };
-    if get_f64(&fleet, "host_cpus") != Some(1.0) {
-        // Parity "more shards never hurts" is only guaranteed when the
-        // engine clamps every shard count to the same single CPU.
-        return (None, None);
-    }
-    let Some(base) = batched_wall_s(&fleet, 1).filter(|s| *s > 0.0) else {
-        return (None, None);
-    };
-    let mut worst: Option<(u64, f64)> = None;
-    for jobs in [2u64, 4, 8] {
-        if let Some(wall) = batched_wall_s(&fleet, jobs) {
-            let ratio = wall / base;
-            if worst.is_none_or(|(_, w)| ratio > w) {
-                worst = Some((jobs, ratio));
-            }
-        }
-    }
-    match worst {
-        Some((jobs, ratio)) if ratio > max => (
-            Some(ratio),
-            Some(format!(
-                "fleet batched jobs={jobs} is {ratio:.3}x the jobs=1 wall time \
-                 (limit {max:.3}x) on a 1-CPU artifact"
-            )),
-        ),
-        Some((_, ratio)) => (Some(ratio), None),
-        None => (None, None),
-    }
-}
-
 /// Appends `row` to `perf-trend.jsonl` unless it matches the current last
 /// line byte-for-byte (idempotent re-runs).
 fn append_trend(results: &Path, row: &str) {
@@ -203,7 +161,6 @@ fn main() {
 
     let host_table = get(&baseline, "hosts").and_then(|h| get(h, &fingerprint));
     let known = host_table.is_some();
-    let parity_max = get_f64(&baseline, "structural.fleet_jobs_parity_max_ratio").unwrap_or(1.15);
 
     let mut violations: Vec<String> = Vec::new();
     for m in &metrics {
@@ -241,20 +198,9 @@ fn main() {
         }
     }
 
-    let (parity_worst, parity_violation) = fleet_parity(&results, parity_max);
-    if let Some(worst) = parity_worst {
-        println!("perf_gate: fleet jobs-parity worst ratio {worst:.3} (limit {parity_max:.3})");
-    }
-    if let Some(v) = parity_violation {
-        violations.push(v);
-    }
-
     let mut row = format!("{{\"fingerprint\":\"{fingerprint}\"");
     for m in &metrics {
         row.push_str(&format!(",\"{}\":{}", m.name, m.value));
-    }
-    if let Some(worst) = parity_worst {
-        row.push_str(&format!(",\"fleet_parity_worst_ratio\":{worst}"));
     }
     row.push('}');
     append_trend(&results, &row);

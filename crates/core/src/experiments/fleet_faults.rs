@@ -68,7 +68,9 @@ pub struct FleetFaultsConfig {
     pub seed: u64,
     /// Ticks per run.
     pub ticks: u64,
-    /// Worker shards for the batched step path.
+    /// Unused: a fleet steps on the calling thread. Kept because
+    /// `results/bench_fleet_faults.json` records it and the benchmark
+    /// harness passes it to [`kelp_workloads::ResilientFleet::tick_batched`].
     pub jobs: usize,
     /// Per-machine probability of being afflicted.
     pub fault_probability: f64,
@@ -241,8 +243,8 @@ pub fn run_fleet_faults(config: &FleetFaultsConfig) -> FleetFaultsResult {
     let mut cells = Vec::new();
     for kind in FaultKind::machine_level() {
         for intensity in Intensity::all() {
-            let healed = run_config(config.cell(kind, intensity, true), config.jobs);
-            let fixed = run_config(config.cell(kind, intensity, false), config.jobs);
+            let healed = run_config(config.cell(kind, intensity, true));
+            let fixed = run_config(config.cell(kind, intensity, false));
             cells.push(FleetFaultCell {
                 fault: kind.name().to_string(),
                 intensity,

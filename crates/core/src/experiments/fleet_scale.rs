@@ -22,8 +22,6 @@ pub struct FleetScaleConfig {
     pub fleet: FleetSimConfig,
     /// Ticks to advance (one churn round before every tick).
     pub ticks: usize,
-    /// Worker shards for the batched path.
-    pub jobs: usize,
 }
 
 impl Default for FleetScaleConfig {
@@ -31,7 +29,6 @@ impl Default for FleetScaleConfig {
         FleetScaleConfig {
             fleet: FleetSimConfig::default(),
             ticks: 32,
-            jobs: 4,
         }
     }
 }
@@ -45,7 +42,6 @@ impl FleetScaleConfig {
                 ..FleetSimConfig::default()
             },
             ticks: 6,
-            jobs: 2,
         }
     }
 }
@@ -57,8 +53,6 @@ pub struct FleetScaleResult {
     pub machines: usize,
     /// Ticks advanced.
     pub ticks: usize,
-    /// Worker shards used by the batched path.
-    pub jobs: usize,
     /// Total host-steps taken per path (`machines * ticks`).
     pub host_steps: u64,
     /// Reports where the batched path diverged from the scalar path
@@ -98,7 +92,6 @@ impl FleetScaleResult {
         );
         t.row(vec!["machines".into(), self.machines.to_string()]);
         t.row(vec!["ticks".into(), self.ticks.to_string()]);
-        t.row(vec!["jobs".into(), self.jobs.to_string()]);
         t.row(vec!["host steps".into(), self.host_steps.to_string()]);
         t.row(vec![
             "mismatched reports".into(),
@@ -136,14 +129,13 @@ pub fn compare(config: &FleetScaleConfig) -> FleetScaleResult {
         let a = serial.step_serial();
         // The reused vector exercises the in-place refresh path the
         // benchmark runs.
-        batched.step_batched_into(config.jobs, &mut b);
+        batched.step_batched_into(1, &mut b);
         mismatched += a.iter().zip(&b).filter(|(x, y)| x != y).count() as u64;
     }
     let stats: HostBatchStats = batched.batch_stats();
     FleetScaleResult {
         machines: config.fleet.machines,
         ticks: config.ticks,
-        jobs: config.jobs,
         host_steps: stats.machines_stepped,
         mismatched_reports: mismatched,
         adaptive_skips: stats.adaptive_skips,
@@ -167,23 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn result_is_invariant_in_job_count() {
-        let base = compare(&FleetScaleConfig::quick());
-        for jobs in [1, 3, 5] {
-            let r = compare(&FleetScaleConfig {
-                jobs,
-                ..FleetScaleConfig::quick()
-            });
-            assert_eq!(r.mismatched_reports, 0, "jobs={jobs}");
-            // Work accounting is shard-invariant too.
-            assert_eq!(r.adaptive_skips, base.adaptive_skips, "jobs={jobs}");
-            assert_eq!(r.lanes_solved, base.lanes_solved, "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn table_renders_every_metric() {
         let r = compare(&FleetScaleConfig::quick());
-        assert_eq!(r.table().row_count(), 10);
+        assert_eq!(r.table().row_count(), 9);
     }
 }

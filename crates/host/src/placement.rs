@@ -139,11 +139,10 @@ pub struct PlacementId(pub usize);
 /// Deterministic fleet-level placer: a Borg-like bin packer that assigns
 /// core blocks to machines by best fit.
 ///
-/// Determinism contract (the fleet experiments shard machines across
-/// worker threads, so placement must not depend on scheduling): placement
-/// decisions are a pure function of the call sequence — best-fit chooses
-/// the machine with the *smallest* sufficient free-core budget, breaking
-/// ties toward the lowest machine index, with no hashing or randomness.
+/// Determinism contract: placement decisions are a pure function of the
+/// call sequence — best-fit chooses the machine with the *smallest*
+/// sufficient free-core budget, breaking ties toward the lowest machine
+/// index, with no hashing or randomness.
 #[derive(Debug, Clone, Default)]
 pub struct FleetPlacer {
     /// Free cores per machine.

@@ -87,3 +87,20 @@ pub fn fire_and_forget(flag: Arc<AtomicUsize>) {
     });
     flag.store(2, Ordering::SeqCst);
 }
+
+/// X03 in a scoped worker: a value read through the Relaxed cursor is
+/// folded in claim order.
+pub fn scoped_gather(pending: &[u64]) -> Vec<(usize, u64)> {
+    let next = AtomicUsize::new(0);
+    let done: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&slot) = pending.get(i) else { break };
+                done.lock().unwrap().push((slot, slot * 2));
+            });
+        }
+    });
+    done.into_inner().unwrap()
+}

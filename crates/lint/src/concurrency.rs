@@ -1,20 +1,19 @@
 //! The v4 workspace pass: whole-program concurrency-protocol analysis
 //! (KL-X01…X04).
 //!
-//! PR 9 retired the `thread::scope` region in `Runner::run_batch` for a
-//! persistent worker pool built on `thread::spawn`, mpsc channels, a
-//! `Relaxed` work-stealing cursor, and `Mutex`-guarded engine state — a
-//! shape the v3 KL-C pass (which only models `thread::scope` blocks)
-//! cannot see. This pass follows threads wherever they are spawned and
-//! checks the protocols that keep them deterministic and deadlock-free.
+//! The engine's worker pool (`Runner` in `crates/core/src/runner.rs`) is
+//! built on `thread::spawn`, mpsc channels, a `Relaxed` work-stealing
+//! cursor, and `Mutex`-guarded engine state. This pass follows threads
+//! wherever they are spawned and checks the protocols that keep them
+//! deterministic and deadlock-free. It is the analyzer's one concurrency
+//! analysis.
 //!
 //! ## Region discovery
 //!
 //! Three worker shapes, discovered per function body:
 //!
 //! * **Scoped** — a closure passed to a `.spawn(…)` *method* call (the
-//!   `thread::scope` handle idiom). Order-sensitivity inside these stays
-//!   KL-C's job; v4 uses them only to classify channel endpoints.
+//!   `thread::scope` handle idiom).
 //! * **Detached** — a closure passed to a free `thread::spawn(…)` call.
 //! * **Pool** — a detached worker whose closure contains a channel
 //!   receive: the long-lived, channel-fed persistent-pool shape.
@@ -31,8 +30,7 @@
 //!   through a rendezvous: an index-keyed placement whose index comes from
 //!   the received tuple (the `(slot, record)` reorder idiom in
 //!   `Runner::run_batch`) or a later `.sort*()`. Any other consuming use
-//!   fires. This generalizes KL-C01/C03 function-wide, beyond
-//!   `thread::scope`.
+//!   fires.
 //! * **KL-X02 — lock discipline.** An interprocedural lock-order graph.
 //!   While a `Mutex` guard is live (a `let`-bound `.lock()` spine, scoped
 //!   to its enclosing block, released early by `drop(guard)`), every
@@ -48,8 +46,8 @@
 //!   not the call site), trading missed deferred locks for zero
 //!   false-positive edges from `unwrap_or_else`/`get_or_insert_with`
 //!   plumbing.
-//! * **KL-X03 — Relaxed discipline.** Inside Detached/Pool workers,
-//!   values derived from an `Ordering::Relaxed` atomic op may only steer
+//! * **KL-X03 — Relaxed discipline.** Inside every worker, values
+//!   derived from an `Ordering::Relaxed` atomic op may only steer
 //!   *opaque work-partitioning*: bounds checks, ranges, indexing into
 //!   shared immutable state, and channel sends (whose consumption KL-X01
 //!   judges at the receiver). Flowing into an order-sensitive fold
@@ -58,8 +56,7 @@
 //!   exemplar is the chunked claim cursor in `Runner`'s pool worker
 //!   (`crates/core/src/runner.rs`, `fetch_add(chunk, Relaxed)`): its
 //!   result only bounds a claim range, indexes the shared spec array, and
-//!   rides the `(slot, record)` rendezvous. Scoped workers are exempt
-//!   here — KL-C03 already owns the scope-region variant.
+//!   rides the `(slot, record)` rendezvous.
 //! * **KL-X04 — join discipline.** A `thread::spawn` whose `JoinHandle`
 //!   is discarded (statement position, or a `let _ =` binding) detaches
 //!   the thread. A struct that stores `JoinHandle`s — a persistent pool —
@@ -75,7 +72,7 @@
 
 use crate::ast::Expr;
 use crate::callgraph::{CallGraph, FnNode};
-use crate::dataflow::{arg_mentions_relaxed, first_closure, peel, root_var, ATOMIC_OPS};
+use crate::dataflow::{peel, root_var};
 use crate::rules::{Diagnostic, WitnessStep};
 use crate::rules_v2::TypeDef;
 use std::collections::{BTreeMap, BTreeSet};
@@ -85,6 +82,22 @@ const RECV_METHODS: [&str; 4] = ["recv", "try_recv", "recv_timeout", "recv_deadl
 
 /// Order-sensitive folds a `Relaxed`-derived value must not reach.
 const RELAXED_SINK_FOLDS: [&str; 5] = ["push", "insert", "extend", "append", "push_str"];
+
+/// Atomic ops whose `Ordering::Relaxed` use seeds the KL-X03 flow check.
+const ATOMIC_OPS: [&str; 12] = [
+    "load",
+    "store",
+    "swap",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_and",
+    "fetch_or",
+    "fetch_xor",
+    "fetch_max",
+    "fetch_min",
+    "fetch_update",
+    "compare_exchange",
+];
 
 /// Fixed-point iteration cap for the interprocedural summaries (matches
 /// the taint engine's bound; summaries are monotone so this only guards
@@ -197,6 +210,35 @@ fn mentions_any(e: &Expr, names: &BTreeSet<String>) -> bool {
     found
 }
 
+/// The first closure inside `e` (pre-order), if any.
+fn first_closure(e: &Expr) -> Option<&Expr> {
+    let mut found: Option<&Expr> = None;
+    e.walk(&mut |x| {
+        if found.is_none() {
+            if let Expr::Closure { .. } = x {
+                found = Some(x);
+            }
+        }
+    });
+    found
+}
+
+/// Whether any argument mentions `Relaxed` (`Ordering::Relaxed` or a bare
+/// import).
+fn arg_mentions_relaxed(args: &[Expr]) -> bool {
+    let mut found = false;
+    for a in args {
+        a.walk(&mut |e| {
+            if let Expr::Path { segments, .. } = e {
+                if segments.iter().any(|s| s == "Relaxed") {
+                    found = true;
+                }
+            }
+        });
+    }
+    found
+}
+
 /// `thread::spawn` / `std::thread::spawn` as a free-call path.
 fn is_thread_spawn(segments: &[String]) -> bool {
     segments.last().is_some_and(|l| l == "spawn") && segments.iter().any(|s| s == "thread")
@@ -222,9 +264,7 @@ fn contains_recv(e: &Expr) -> bool {
 /// How a worker thread came to exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WorkerKind {
-    /// `handle.spawn(|| …)` method form — the `thread::scope` idiom
-    /// (order-sensitivity stays with KL-C; used here for endpoint
-    /// classification only).
+    /// `handle.spawn(|| …)` method form — the `thread::scope` idiom.
     Scoped,
     /// Free `thread::spawn(|| …)` running one closure to completion.
     Detached,
@@ -912,7 +952,7 @@ fn relaxed_op_in(e: &Expr) -> Option<(u32, String)> {
 /// seed is present when the sink argument itself contains the Relaxed op.
 type RelaxedSink = (u32, String, Option<(u32, String)>);
 
-/// The Relaxed-flow check for one Detached/Pool worker.
+/// The Relaxed-flow check for one worker.
 fn relaxed_pass(f: &FnNode<'_>, w: &Worker<'_>, diags: &mut Vec<Diagnostic>) {
     // Seed and propagate: bindings derived from a Relaxed atomic op, then
     // anything bound from a tainted value (including index reads — the
@@ -1265,7 +1305,7 @@ pub fn protocol_pass(graph: &CallGraph<'_>, types: &[TypeDef]) -> Vec<Diagnostic
             diags: &mut diags,
         }
         .scan(body, &mut held);
-        for w in workers.iter().filter(|w| w.kind != WorkerKind::Scoped) {
+        for w in &workers {
             relaxed_pass(f, w, &mut diags);
         }
         discarded_spawns(f, body, &mut diags);

@@ -1,7 +1,5 @@
-//! The v3 interprocedural nondeterminism-taint dataflow engine (KL-T) and
-//! the parallel order-sensitivity pass over `thread::scope` regions (KL-C).
-//!
-//! ## Taint pass (KL-T01…T03)
+//! The v3 interprocedural nondeterminism-taint dataflow engine
+//! (KL-T01…T03).
 //!
 //! A flow-insensitive-per-variable, **interprocedural** forward dataflow
 //! over the [`crate::callgraph`]. Taint kinds form a flat powerset lattice
@@ -39,24 +37,6 @@
 //!   downstream copy).
 //! * `serde_json::to_*` is taint-preserving (the vendored shim's internals
 //!   route data through a serializer the summary engine cannot follow).
-//!
-//! ## Scope pass (KL-C01…C03)
-//!
-//! An intraprocedural pass over `std::thread::scope(|s| …)` regions. A
-//! *region* is the scope closure's body; *workers* are `s.spawn(…)`
-//! closures inside it. Identifiers bound inside the region (`for` patterns,
-//! `let`s, closure params) are per-worker values; everything else is a
-//! shared capture. A function containing an index-keyed placement
-//! (`x[i] = …`) or a `.sort*()` call anywhere is treated as having an
-//! order rendezvous, which sanitizes KL-C01/KL-C03.
-//!
-//! * **KL-C01** — an order-sensitive fold (`push`/`insert`/`extend` or a
-//!   compound assignment) through a `.lock()` spine inside a worker, in a
-//!   function with no rendezvous: the fold order depends on thread timing.
-//! * **KL-C02** — a mutating call or assignment targeting a capture bound
-//!   *outside* the region, not routed through `.lock()` or an atomic.
-//! * **KL-C03** — an `Ordering::Relaxed` atomic op inside a worker whose
-//!   value is used, in a function with no rendezvous.
 
 use crate::ast::Expr;
 use crate::callgraph::CallGraph;
@@ -829,17 +809,6 @@ pub(crate) fn root_var(e: &Expr) -> Option<&str> {
     }
 }
 
-/// Whether a receiver/target spine passes through `.lock()`.
-fn spine_has_lock(e: &Expr) -> bool {
-    match peel(e) {
-        Expr::MethodCall { recv, method, .. } => method == "lock" || spine_has_lock(recv),
-        Expr::Field { base, .. } | Expr::Index { base, .. } | Expr::Cast { expr: base, .. } => {
-            spine_has_lock(base)
-        }
-        _ => false,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The taint pass
 // ---------------------------------------------------------------------------
@@ -995,394 +964,6 @@ pub fn taint_pass(graph: &CallGraph<'_>, types: &[TypeDef]) -> Vec<Diagnostic> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// The scope pass (KL-C)
-// ---------------------------------------------------------------------------
-
-/// Mutating container/collection methods for the shared-capture check.
-const MUTATING: [&str; 11] = [
-    "push",
-    "push_str",
-    "insert",
-    "remove",
-    "clear",
-    "extend",
-    "append",
-    "truncate",
-    "retain",
-    "set",
-    "write_all",
-];
-
-/// Order-sensitive fold methods for the Mutex-collector check.
-const FOLDS: [&str; 3] = ["push", "insert", "extend"];
-
-/// Atomic ops whose `Ordering::Relaxed` use is checked when the value is
-/// consumed. (Also exempts these calls from the KL-C02 mutation check, and
-/// seeds the KL-X03 Relaxed-flow check in [`crate::concurrency`].)
-pub(crate) const ATOMIC_OPS: [&str; 12] = [
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-    "compare_exchange",
-];
-
-fn is_thread_scope_call(segments: &[String]) -> bool {
-    segments.last().is_some_and(|l| l == "scope") && segments.iter().any(|s| s == "thread")
-}
-
-pub(crate) fn first_closure(e: &Expr) -> Option<&Expr> {
-    let mut found: Option<&Expr> = None;
-    e.walk(&mut |x| {
-        if found.is_none() {
-            if let Expr::Closure { .. } = x {
-                found = Some(x);
-            }
-        }
-    });
-    found
-}
-
-/// Identifiers bound anywhere inside a region body (per-worker values):
-/// `let`/`for`/`match` patterns and closure params.
-fn region_bindings(body: &Expr, out: &mut BTreeSet<String>) {
-    body.walk(&mut |e| match e {
-        Expr::Let { pat_idents, .. } | Expr::For { pat_idents, .. } => {
-            out.extend(pat_idents.iter().cloned());
-        }
-        Expr::Closure { params, .. } => out.extend(params.iter().cloned()),
-        Expr::Match { arms, .. } => {
-            for arm in arms {
-                out.extend(arm.pat_idents.iter().cloned());
-            }
-        }
-        _ => {}
-    });
-}
-
-struct ScopeCtx<'c> {
-    file: &'c str,
-    symbol: String,
-    region_bound: &'c BTreeSet<String>,
-    has_rendezvous: bool,
-    scope_step: WitnessStep,
-    spawn_step: WitnessStep,
-    diags: &'c mut Vec<Diagnostic>,
-}
-
-impl ScopeCtx<'_> {
-    fn emit(&mut self, rule: &'static str, line: u32, what: String, message: String) {
-        self.diags.push(Diagnostic {
-            rule,
-            file: self.file.to_string(),
-            line,
-            symbol: self.symbol.clone(),
-            message,
-            witness: vec![
-                self.scope_step.clone(),
-                self.spawn_step.clone(),
-                WitnessStep {
-                    what,
-                    file: self.file.to_string(),
-                    line,
-                },
-            ],
-        });
-    }
-}
-
-pub(crate) fn arg_mentions_relaxed(args: &[Expr]) -> bool {
-    let mut found = false;
-    for a in args {
-        a.walk(&mut |e| {
-            if let Expr::Path { segments, .. } = e {
-                if segments.iter().any(|s| s == "Relaxed") {
-                    found = true;
-                }
-            }
-        });
-    }
-    found
-}
-
-/// Scans a spawned worker's body. `used` tracks whether the current
-/// expression's value is consumed (statement position discards it).
-fn scan_worker(e: &Expr, used: bool, ctx: &mut ScopeCtx<'_>) {
-    match e {
-        Expr::MethodCall {
-            recv,
-            method,
-            args,
-            line,
-        } => {
-            let is_fold = FOLDS.contains(&method.as_str());
-            let is_atomic = ATOMIC_OPS.contains(&method.as_str());
-            if spine_has_lock(recv) {
-                if is_fold && !ctx.has_rendezvous {
-                    ctx.emit(
-                        "KL-C01",
-                        *line,
-                        format!("`.{method}(…)` fold under `Mutex` lock"),
-                        format!(
-                            "order-sensitive `.{method}(…)` on a `Mutex`-gathered collector \
-                             with no index-keyed or sort rendezvous in the enclosing function"
-                        ),
-                    );
-                }
-            } else if is_atomic {
-                if used && arg_mentions_relaxed(args) && !ctx.has_rendezvous {
-                    ctx.emit(
-                        "KL-C03",
-                        *line,
-                        format!("`.{method}(Ordering::Relaxed)` value used"),
-                        format!(
-                            "`Ordering::Relaxed` `.{method}(…)` result flows out of a \
-                             `scope.spawn` worker with no index-keyed rendezvous"
-                        ),
-                    );
-                }
-            } else if MUTATING.contains(&method.as_str()) {
-                if let Some(root) = root_var(recv) {
-                    if !ctx.region_bound.contains(root) {
-                        ctx.emit(
-                            "KL-C02",
-                            *line,
-                            format!("`{root}.{method}(…)` on a shared capture"),
-                            format!(
-                                "shared capture `{root}` mutated by `.{method}(…)` inside \
-                                 `scope.spawn` without `Mutex`/atomic routing"
-                            ),
-                        );
-                    }
-                }
-            }
-            scan_worker(recv, true, ctx);
-            for a in args {
-                scan_worker(a, true, ctx);
-            }
-        }
-        Expr::Assign {
-            target,
-            value,
-            compound,
-            line,
-        } => {
-            if spine_has_lock(target) {
-                if *compound && !ctx.has_rendezvous {
-                    ctx.emit(
-                        "KL-C01",
-                        *line,
-                        "compound assignment under `Mutex` lock".to_string(),
-                        "order-sensitive compound assignment on a `Mutex`-gathered \
-                         accumulator with no index-keyed or sort rendezvous in the \
-                         enclosing function"
-                            .to_string(),
-                    );
-                }
-            } else if let Some(root) = root_var(target) {
-                if !ctx.region_bound.contains(root) {
-                    ctx.emit(
-                        "KL-C02",
-                        *line,
-                        format!("assignment to shared capture `{root}`"),
-                        format!(
-                            "shared capture `{root}` assigned inside `scope.spawn` \
-                             without `Mutex`/atomic routing"
-                        ),
-                    );
-                }
-            }
-            scan_worker(target, true, ctx);
-            if let Some(v) = value {
-                scan_worker(v, true, ctx);
-            }
-        }
-        Expr::Block { stmts, .. } => {
-            for (i, s) in stmts.iter().enumerate() {
-                scan_worker(s, used && i + 1 == stmts.len(), ctx);
-            }
-        }
-        Expr::Let { init, els, .. } => {
-            if let Some(i) = init {
-                scan_worker(i, true, ctx);
-            }
-            if let Some(e) = els {
-                scan_worker(e, false, ctx);
-            }
-        }
-        Expr::Call { callee, args, .. } => {
-            scan_worker(callee, true, ctx);
-            for a in args {
-                scan_worker(a, true, ctx);
-            }
-        }
-        Expr::Macro { args, .. } => {
-            for a in args {
-                scan_worker(a, true, ctx);
-            }
-        }
-        Expr::StructLit { fields, rest, .. } => {
-            for (_, v) in fields {
-                scan_worker(v, true, ctx);
-            }
-            for r in rest {
-                scan_worker(r, true, ctx);
-            }
-        }
-        Expr::For { iter, body, .. } => {
-            if let Some(i) = iter {
-                scan_worker(i, true, ctx);
-            }
-            if let Some(b) = body {
-                scan_worker(b, false, ctx);
-            }
-        }
-        Expr::Match {
-            scrutinee, arms, ..
-        } => {
-            if let Some(s) = scrutinee {
-                scan_worker(s, true, ctx);
-            }
-            for arm in arms {
-                for c in &arm.children {
-                    scan_worker(c, used, ctx);
-                }
-            }
-        }
-        Expr::Ret { value, .. } => {
-            if let Some(v) = value {
-                scan_worker(v, true, ctx);
-            }
-        }
-        Expr::Field { base, .. } => scan_worker(base, true, ctx),
-        Expr::Index { base, index, .. } => {
-            scan_worker(base, true, ctx);
-            scan_worker(index, true, ctx);
-        }
-        Expr::Cast { expr, .. } => scan_worker(expr, true, ctx),
-        Expr::Closure { body, .. } => scan_worker(body, true, ctx),
-        Expr::Range { operands, .. }
-        | Expr::Many {
-            children: operands, ..
-        } => {
-            for c in operands {
-                scan_worker(c, used, ctx);
-            }
-        }
-        Expr::Path { .. } | Expr::Lit { .. } | Expr::Opaque { .. } => {}
-    }
-}
-
-/// Analyzes every `std::thread::scope` region in the workspace for
-/// order-sensitivity hazards (KL-C01…C03).
-pub fn scope_pass(graph: &CallGraph<'_>) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for f in &graph.fns {
-        let Some(body) = f.body else { continue };
-        // An index-keyed placement or a sort anywhere in the enclosing
-        // function is the rendezvous that restores a deterministic order.
-        let mut has_rendezvous = false;
-        body.walk(&mut |e| match e {
-            Expr::Assign { target, .. } => {
-                if matches!(peel(target), Expr::Index { .. }) {
-                    has_rendezvous = true;
-                }
-            }
-            Expr::MethodCall { method, .. } if method.starts_with("sort") => {
-                has_rendezvous = true;
-            }
-            _ => {}
-        });
-
-        let mut regions: Vec<&Expr> = Vec::new();
-        body.walk(&mut |e| {
-            if let Expr::Call { callee, .. } = e {
-                if let Expr::Path { segments, .. } = callee.as_ref() {
-                    if is_thread_scope_call(segments) {
-                        regions.push(e);
-                    }
-                }
-            }
-        });
-        for region in regions {
-            let Expr::Call { args, line, .. } = region else {
-                continue;
-            };
-            let Some(Expr::Closure {
-                params,
-                body: rbody,
-                ..
-            }) = args.first().map(peel).and_then(first_closure)
-            else {
-                continue;
-            };
-            let handle = params.first().cloned().unwrap_or_default();
-            let mut bound = BTreeSet::new();
-            bound.insert(handle.clone());
-            region_bindings(rbody, &mut bound);
-
-            let mut spawns: Vec<(&Expr, u32)> = Vec::new();
-            rbody.walk(&mut |e| {
-                if let Expr::MethodCall {
-                    recv,
-                    method,
-                    args,
-                    line,
-                } = e
-                {
-                    if method == "spawn"
-                        && root_var(recv) == Some(handle.as_str())
-                        && !handle.is_empty()
-                    {
-                        if let Some(c) = args.first().and_then(first_closure) {
-                            spawns.push((c, *line));
-                        }
-                    }
-                }
-            });
-            for (closure, spawn_line) in spawns {
-                let Expr::Closure { body: wbody, .. } = closure else {
-                    continue;
-                };
-                let mut ctx = ScopeCtx {
-                    file: &f.file,
-                    symbol: f.symbol(),
-                    region_bound: &bound,
-                    has_rendezvous,
-                    scope_step: WitnessStep {
-                        what: "`std::thread::scope` region".to_string(),
-                        file: f.file.clone(),
-                        line: *line,
-                    },
-                    spawn_step: WitnessStep {
-                        what: format!("`{handle}.spawn` worker"),
-                        file: f.file.clone(),
-                        line: spawn_line,
-                    },
-                    diags: &mut diags,
-                };
-                scan_worker(wbody, true, &mut ctx);
-            }
-        }
-    }
-    // One diagnostic per (rule, site, message); dedup repeated walks.
-    diags.sort_by(|a, b| {
-        (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
-    });
-    diags.dedup_by(|a, b| {
-        a.rule == b.rule && a.file == b.file && a.line == b.line && a.message == b.message
-    });
-    diags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1419,9 +1000,7 @@ mod tests {
             };
             collect_types(&ctx, items, &mut types);
         }
-        let mut diags = taint_pass(&graph, &types);
-        diags.extend(scope_pass(&graph));
-        diags
+        taint_pass(&graph, &types)
     }
 
     const RECORD: &str = "#[derive(Serialize)]\npub struct RunRecord { pub meta: RunMeta }\n\
@@ -1501,74 +1080,6 @@ mod tests {
                       std::fs::write(\"o\", xs.len().to_string());\n    xs\n}";
         let diags = run(&[("crates/core/src/h.rs", "core", sorted)]);
         assert!(diags.iter().all(|d| d.rule != "KL-T02"), "{diags:?}");
-    }
-
-    #[test]
-    fn scope_collector_without_rendezvous_fires_c01() {
-        let src = "pub fn gather(specs: &[u32]) -> Vec<u32> {\n    \
-                   let done = Mutex::new(Vec::new());\n    \
-                   std::thread::scope(|scope| {\n        for s in specs {\n            \
-                   scope.spawn(move || {\n                \
-                   done.lock().unwrap().push(*s);\n            });\n        }\n    });\n    \
-                   done.into_inner().unwrap()\n}";
-        let diags = run(&[("crates/core/src/s.rs", "core", src)]);
-        let c01: Vec<_> = diags.iter().filter(|d| d.rule == "KL-C01").collect();
-        assert_eq!(c01.len(), 1, "{diags:?}");
-        assert_eq!(c01[0].witness.len(), 3);
-        assert!(c01[0].witness[0].what.contains("thread::scope"));
-    }
-
-    #[test]
-    fn indexed_placement_sanitizes_c01_and_c03() {
-        // Mirrors Runner::run_batch: Relaxed work-stealing counter +
-        // Mutex-collected (slot, record) pairs + index-keyed placement.
-        let src = "pub fn run(pending: &[u32]) -> Vec<Option<u32>> {\n    \
-                   let mut records = vec![None; pending.len()];\n    \
-                   let next = AtomicUsize::new(0);\n    \
-                   let done = Mutex::new(Vec::new());\n    \
-                   std::thread::scope(|scope| {\n        \
-                   scope.spawn(|| loop {\n            \
-                   let i = next.fetch_add(1, Ordering::Relaxed);\n            \
-                   let Some(&slot) = pending.get(i) else { break; };\n            \
-                   done.lock().unwrap().push((slot, slot * 2));\n        });\n    });\n    \
-                   for (slot, r) in done.into_inner().unwrap() {\n        \
-                   records[slot] = Some(r);\n    }\n    records\n}";
-        let diags = run(&[("crates/core/src/s.rs", "core", src)]);
-        assert!(
-            diags.iter().all(|d| !d.rule.starts_with("KL-C")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn shared_capture_mutation_fires_c02_but_sharded_chunks_do_not() {
-        let shared = "pub fn bad(out: &mut Vec<u32>) {\n    \
-                      std::thread::scope(|scope| {\n        \
-                      scope.spawn(|| {\n            out.push(1);\n        });\n    });\n}";
-        let diags = run(&[("crates/core/src/s.rs", "core", shared)]);
-        assert!(diags.iter().any(|d| d.rule == "KL-C02"), "{diags:?}");
-        // fleet.rs-style disjoint sharding: the chunk is a per-worker `for`
-        // binding inside the region.
-        let sharded = "pub fn good(machines: &mut [u32], out: &mut [u32]) {\n    \
-                       std::thread::scope(|scope| {\n        \
-                       for (m, o) in machines.chunks_mut(4).zip(out.chunks_mut(4)) {\n            \
-                       scope.spawn(move || { step(m, o); });\n        }\n    });\n}";
-        let diags = run(&[("crates/core/src/s.rs", "core", sharded)]);
-        assert!(diags.iter().all(|d| d.rule != "KL-C02"), "{diags:?}");
-    }
-
-    #[test]
-    fn relaxed_counter_with_used_value_and_no_rendezvous_fires_c03() {
-        let src = "pub fn bad(xs: &[u32]) -> u32 {\n    let next = AtomicUsize::new(0);\n    \
-                   let total = Mutex::new(0u32);\n    \
-                   std::thread::scope(|scope| {\n        \
-                   scope.spawn(|| {\n            \
-                   let i = next.fetch_add(1, Ordering::Relaxed);\n            \
-                   *total.lock().unwrap() += xs[i];\n        });\n    });\n    \
-                   total.into_inner().unwrap()\n}";
-        let diags = run(&[("crates/core/src/s.rs", "core", src)]);
-        assert!(diags.iter().any(|d| d.rule == "KL-C03"), "{diags:?}");
-        assert!(diags.iter().any(|d| d.rule == "KL-C01"), "{diags:?}");
     }
 
     #[test]

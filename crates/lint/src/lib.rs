@@ -47,8 +47,8 @@ pub(crate) fn crate_label(path: &str) -> &str {
 /// Lints every classifiable file under `root`: the per-file rules plus the
 /// workspace passes (KL-R panic reachability over the call graph, KL-S
 /// schema drift against `results/*.json`, KL-T interprocedural
-/// nondeterminism-taint dataflow, KL-C `thread::scope` order-sensitivity,
-/// KL-X whole-program concurrency protocols).
+/// nondeterminism-taint dataflow, KL-X whole-program concurrency
+/// protocols).
 /// Returns the diagnostics in a
 /// total order — (file, line, rule, symbol, message) — and the number of
 /// files scanned.
@@ -89,16 +89,14 @@ pub fn lint_workspace(root: &std::path::Path) -> (Vec<Diagnostic>, usize) {
     workspace_diags.extend(rules_v2::schema_rules(&types, &goldens));
 
     // Workspace pass 3: interprocedural nondeterminism-taint dataflow
-    // (KL-T) and thread::scope order-sensitivity (KL-C).
+    // (KL-T).
     workspace_diags.extend(dataflow::taint_pass(&graph, &types));
-    workspace_diags.extend(dataflow::scope_pass(&graph));
 
-    // Workspace pass 4: concurrency protocols beyond `thread::scope` —
-    // channel rendezvous, lock ordering, Relaxed discipline, join
-    // contracts (KL-X01…X04).
+    // Workspace pass 4: concurrency protocols — channel rendezvous, lock
+    // ordering, Relaxed discipline, join contracts (KL-X01…X04).
     workspace_diags.extend(concurrency::protocol_pass(&graph, &types));
 
-    // A witness-chain diagnostic (KL-T/KL-C) is suppressed by an inline
+    // A witness-chain diagnostic (KL-T/KL-X) is suppressed by an inline
     // allow at ANY step of its chain — in particular at the taint source,
     // so one documented allow at an intentional nondeterminism root covers
     // every sink it feeds.

@@ -26,9 +26,9 @@ pub fn human(diags: &[Diagnostic], files_scanned: usize) -> String {
 /// The JSON report format version. History: 2 added the `symbol` field and
 /// the total (file, line, rule, symbol, message) sort order; 3 added the
 /// per-diagnostic `witness` array (source→…→sink provenance for the KL-T
-/// taint-flow and KL-C scope-order families; empty for other rules); 4
-/// added the KL-X concurrency-protocol family (same shape — new `rule`
-/// values only, witness chains populated like KL-T/KL-C).
+/// taint-flow family; empty for other rules); 4 added the KL-X
+/// concurrency-protocol family (same shape — new `rule` values only,
+/// witness chains populated like KL-T).
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// Renders diagnostics as a byte-stable JSON document:

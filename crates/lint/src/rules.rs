@@ -39,15 +39,12 @@
 //! | KL-T01 | taint-flow   | nondeterminism taint (clock/rand/env/hash-order/jobs) flows into a serde-serialized `RunRecord`/`ExperimentResult`-reachable field (witness chain in the message) |
 //! | KL-T02 | taint-flow   | nondeterminism taint flows into a results writer (`fs::write` content argument) |
 //! | KL-T03 | taint-flow   | nondeterminism taint flows into cache-key computation (`fnv1a64`, `.hash(…)`) |
-//! | KL-C01 | scope-order  | order-sensitive fold (`push`/`insert`/`extend`/compound assign) on a `Mutex`-gathered collector inside a `thread::scope` worker without an index-keyed or sort rendezvous |
-//! | KL-C02 | scope-order  | shared capture bound outside a `thread::scope` region mutated inside a spawned worker without `Mutex`/atomic routing |
-//! | KL-C03 | scope-order  | `Ordering::Relaxed` atomic op inside a spawned worker whose value is used, with no index-keyed rendezvous |
-//! | KL-X01 | concurrency  | cross-thread channel results consumed without an index-keyed or sort rendezvous (fn-wide generalization of C01/C03 to `thread::spawn` pools) |
+//! | KL-X01 | concurrency  | cross-thread channel results consumed without an index-keyed or sort rendezvous |
 //! | KL-X02 | concurrency  | interprocedural lock-order cycle over held `Mutex` guards, or re-acquisition of a held (non-reentrant) lock |
-//! | KL-X03 | concurrency  | `Ordering::Relaxed` value escapes opaque work-partitioning inside a spawned worker (order-sensitive fold, struct field, accumulator) |
+//! | KL-X03 | concurrency  | `Ordering::Relaxed` value escapes opaque work-partitioning inside a spawned or scoped worker (order-sensitive fold, struct field, accumulator) |
 //! | KL-X04 | concurrency  | `thread::spawn` handle discarded, or a `JoinHandle`-holding pool struct whose `Drop` never reaches `.join()` |
 //!
-//! The KL-R/KL-S/KL-T/KL-C/KL-X families need the whole workspace (call
+//! The KL-R/KL-S/KL-T/KL-X families need the whole workspace (call
 //! graph, goldens, dataflow summaries) and only fire from
 //! [`crate::lint_workspace`]; the rest, including KL-F, also fire from the
 //! single-file [`lint_source`] entry point.
@@ -72,7 +69,7 @@ pub struct FileCtx {
     pub time_allowlisted: bool,
 }
 
-/// One step of a source→…→sink witness chain (KL-T/KL-C): a short display
+/// One step of a source→…→sink witness chain (KL-T/KL-X): a short display
 /// form plus the location it happened at. The `--json` report renders the
 /// chain as a structured array; the human message joins the `what`s.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,16 +89,15 @@ pub struct Diagnostic {
     pub line: u32,
     pub symbol: String,
     pub message: String,
-    /// Source→…→sink provenance for KL-T/KL-C; empty for other families.
+    /// Source→…→sink provenance for KL-T/KL-X; empty for other families.
     pub witness: Vec<WitnessStep>,
 }
 
 /// Every rule ID the engine can emit, in catalog order.
-pub const ALL_RULES: [&str; 30] = [
+pub const ALL_RULES: [&str; 27] = [
     "KL-D01", "KL-D02", "KL-D03", "KL-D04", "KL-P01", "KL-P02", "KL-P03", "KL-H01", "KL-H02",
     "KL-H03", "KL-H04", "KL-H05", "KL-R01", "KL-R02", "KL-R03", "KL-F01", "KL-F02", "KL-F03",
-    "KL-S01", "KL-S02", "KL-T01", "KL-T02", "KL-T03", "KL-C01", "KL-C02", "KL-C03", "KL-X01",
-    "KL-X02", "KL-X03", "KL-X04",
+    "KL-S01", "KL-S02", "KL-T01", "KL-T02", "KL-T03", "KL-X01", "KL-X02", "KL-X03", "KL-X04",
 ];
 
 /// An inline suppression parsed from a comment.

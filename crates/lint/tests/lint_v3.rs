@@ -1,14 +1,6 @@
 //! v3 corpus: exact-output witness chains for the interprocedural
-//! nondeterminism-taint pass (KL-T01..T03) and the parallel
-//! order-sensitivity pass (KL-C01..C03), sanitizer negatives for both,
-//! dataflow totality fuzzing, byte-stability of witness rendering, and a
-//! mutation test proving the retired `Runner::run_batch` scope region is
-//! analyzed (its index rendezvous is exactly what keeps it silent).
-//!
-//! The retired-fixture mutation below covers the *old* scope-based runner
-//! only; the live persistent pool in today's `runner.rs` is covered by the
-//! KL-X mutation tests in `lint_v4.rs` (`live_pool_*_fires_kl_x*`), so
-//! runner.rs being scope-free no longer means "unanalyzed".
+//! nondeterminism-taint pass (KL-T01..T03), sanitizer negatives,
+//! dataflow totality fuzzing, and byte-stability of witness rendering.
 //!
 //! Fixtures live under `crates/lint/fixtures/` (a `fixtures` path component
 //! keeps them out of `scan::classify`).
@@ -29,8 +21,8 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Runs both dataflow passes over a single source, labelled as `file` in
-/// crate `core` — the same wiring `lint_workspace` uses, minus the scan.
+/// Runs the taint pass over a single source, labelled as `file` in crate
+/// `core` — the same wiring `lint_workspace` uses, minus the scan.
 fn dataflow_diags(file: &'static str, src: &str) -> Vec<Diagnostic> {
     let items = parse_items(&lex(src));
     let units = [SourceUnit {
@@ -51,7 +43,6 @@ fn dataflow_diags(file: &'static str, src: &str) -> Vec<Diagnostic> {
         &mut types,
     );
     let mut diags = dataflow::taint_pass(&graph, &types);
-    diags.extend(dataflow::scope_pass(&graph));
     diags.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     diags
 }
@@ -134,166 +125,17 @@ fn kl_t_sanitizers_stay_silent() {
     assert_eq!(flat(&diags), vec![], "sanitized flows produced findings");
 }
 
-/// The positive scope corpus mirrors `Runner::run_batch`'s collector shape
-/// minus its `records[slot] = …` rendezvous: the Mutex fold (C01), the used
-/// Relaxed counter (C03), and an unrouted shared-capture mutation (C02) all
-/// fire, each with a scope → spawn → operation witness chain.
-#[test]
-fn kl_c_witness_chains_exact_output() {
-    let diags = dataflow_diags(
-        "crates/core/src/scope_order_bad.rs",
-        &fixture("scope_order_bad.rs"),
-    );
-    assert_eq!(
-        flat(&diags),
-        vec![
-            (
-                14,
-                "KL-C03",
-                "core::gather",
-                "`Ordering::Relaxed` `.fetch_add(…)` result flows out of a `scope.spawn` \
-                 worker with no index-keyed rendezvous",
-            ),
-            (
-                16,
-                "KL-C01",
-                "core::gather",
-                "order-sensitive `.push(…)` on a `Mutex`-gathered collector with no \
-                 index-keyed or sort rendezvous in the enclosing function",
-            ),
-            (
-                26,
-                "KL-C02",
-                "core::tally",
-                "shared capture `out` mutated by `.push(…)` inside `scope.spawn` without \
-                 `Mutex`/atomic routing",
-            ),
-        ],
-        "scope witness chains drifted: {diags:?}"
-    );
-    assert_eq!(
-        chain(&diags[1]),
-        vec![
-            (11, "`std::thread::scope` region"),
-            (13, "`scope.spawn` worker"),
-            (16, "`.push(…)` fold under `Mutex` lock"),
-        ],
-        "structured scope witness drifted: {:?}",
-        diags[1].witness
-    );
-}
-
-/// Negative corpus: the index-keyed placement rendezvous (Runner idiom) and
-/// region-bound disjoint chunks (FleetSim idiom) silence every KL-C rule.
-#[test]
-fn kl_c_rendezvous_and_sharding_stay_silent() {
-    let diags = dataflow_diags(
-        "crates/core/src/scope_order_clean.rs",
-        &fixture("scope_order_clean.rs"),
-    );
-    assert_eq!(
-        flat(&diags),
-        vec![],
-        "sanitized scope regions produced findings"
-    );
-}
-
-fn workspace_file(rel: &str) -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join(rel);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-fn scope_diags_for(rel: &'static str, src: &str) -> Vec<Diagnostic> {
-    let items = parse_items(&lex(src));
-    let units = [SourceUnit {
-        file: rel,
-        krate: "core",
-        panic_scope: true,
-        items: &items,
-    }];
-    dataflow::scope_pass(&CallGraph::build(&units))
-}
-
-/// The retired `Runner::run_batch` scope region (the engine now runs on a
-/// persistent channel-fed pool with no `thread::scope`) is demonstrably
-/// analyzed: unmutated it is silent — and deleting only its
-/// `records[slot] = …` placement rendezvous makes both the Mutex fold and
-/// the Relaxed counter fire, proving the silence comes from the sanitizer,
-/// not from the region being skipped. The real runner.rs is asserted
-/// scope-free so this fixture cannot silently diverge from it.
-#[test]
-fn retired_runner_scope_region_is_sanitized_by_its_index_rendezvous() {
-    let real = workspace_file("crates/core/src/runner.rs");
-    assert!(
-        !real.contains("std::thread::scope"),
-        "runner.rs grew a scope region again; point this test back at it"
-    );
-
-    let src = fixture("runner_scope_retired.rs");
-    let clean = scope_diags_for("crates/core/src/runner_scope_retired.rs", &src);
-    assert_eq!(clean, vec![], "retired runner region fired: {clean:?}");
-
-    let mutated = src.replace("records[slot] = ", "let _ = ");
-    assert!(
-        !mutated.contains("records[slot] = "),
-        "mutation did not remove the rendezvous"
-    );
-    assert_ne!(src, mutated, "mutation was a no-op");
-    let fired = scope_diags_for("crates/core/src/runner_scope_retired.rs", &mutated);
-    let rules: Vec<&str> = fired.iter().map(|d| d.rule).collect();
-    assert!(
-        rules.contains(&"KL-C01") && rules.contains(&"KL-C03"),
-        "removing the rendezvous should fire C01+C03 in run_batch: {fired:?}"
-    );
-    for d in &fired {
-        assert!(
-            d.symbol.ends_with("run_batch"),
-            "mutation leaked outside run_batch: {d:?}"
-        );
-        assert_eq!(
-            d.witness.len(),
-            3,
-            "scope witness must be scope→spawn→op: {d:?}"
-        );
-    }
-}
-
-/// The fleet and resilient worker pools are clean because every chunk a
-/// worker touches is bound inside the region — analyzed, not skipped.
-#[test]
-fn real_fleet_and_resilient_scope_regions_are_clean() {
-    for rel in [
-        "crates/workloads/src/fleet.rs",
-        "crates/workloads/src/resilient.rs",
-    ] {
-        let src = workspace_file(rel);
-        assert!(
-            src.contains("thread::scope"),
-            "{rel} no longer has a scope region; retire this test"
-        );
-        let diags = scope_diags_for("crates/core/src/under_test.rs", &src);
-        assert_eq!(diags, vec![], "{rel} scope region fired: {diags:?}");
-    }
-}
-
 /// Witness chains render as structured JSON and the rendering is
 /// byte-stable: two passes over the same corpus serialize identically, and
-/// the KL-T/KL-C entries carry non-empty `witness` arrays.
+/// the KL-T entries carry non-empty `witness` arrays.
 #[test]
 fn witness_json_rendering_is_byte_stable() {
     let render = || {
-        let mut diags = dataflow_diags(
+        let diags = dataflow_diags(
             "crates/core/src/taint_flow_bad.rs",
             &fixture("taint_flow_bad.rs"),
         );
-        diags.extend(dataflow_diags(
-            "crates/core/src/scope_order_bad.rs",
-            &fixture("scope_order_bad.rs"),
-        ));
-        report::json(&diags, 2)
+        report::json(&diags, 1)
     };
     let a = render();
     let b = render();
@@ -311,9 +153,9 @@ fn witness_json_rendering_is_byte_stable() {
 
 /// The dataflow engine must be total on arbitrary token soup, exactly like
 /// the parser one layer down: 500 seeded streams of Rust-ish fragments —
-/// biased toward scope/taint shapes — and lossily-decoded garbage bytes all
-/// run through `collect_types`, `taint_pass`, and `scope_pass` without
-/// panicking, hanging, or recursing unboundedly.
+/// biased toward taint shapes — and lossily-decoded garbage bytes all run
+/// through `collect_types` and `taint_pass` without panicking, hanging, or
+/// recursing unboundedly.
 #[test]
 fn dataflow_is_total_on_random_token_streams() {
     let fragments = [
@@ -410,6 +252,5 @@ fn dataflow_is_total_on_random_token_streams() {
             &mut types,
         );
         let _ = dataflow::taint_pass(&graph, &types);
-        let _ = dataflow::scope_pass(&graph);
     }
 }

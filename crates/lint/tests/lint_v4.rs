@@ -3,7 +3,8 @@
 //! pool protocol as the sanitizer negative, live-pool mutation tests
 //! proving today's `runner.rs` is analyzed (deleting the `(slot, record)`
 //! rendezvous or the `Drop` join fires KL-X), schema_version-4 JSON
-//! byte-stability, and seeded totality fuzzing of the new pass.
+//! byte-stability, seeded totality fuzzing of the new pass, and a guard
+//! that `runner.rs` holds the workspace's only thread code.
 //!
 //! Fixtures live under `crates/lint/fixtures/` (a `fixtures` path component
 //! keeps them out of `scan::classify`).
@@ -139,6 +140,14 @@ fn kl_x_witness_chains_exact_output() {
                 "`thread::spawn` handle discarded: the thread is detached and \
                  outlives every join point",
             ),
+            (
+                101,
+                "KL-X03",
+                "core::scoped_gather",
+                "`Ordering::Relaxed` `.fetch_add(…)` value escapes opaque \
+                 work-partitioning: `.push(…)` fold of a `Relaxed`-derived value \
+                 inside a spawned worker",
+            ),
         ],
         "concurrency witness chains drifted: {diags:?}"
     );
@@ -183,6 +192,16 @@ fn kl_x_witness_chains_exact_output() {
         "structured X04 witness drifted: {:?}",
         diags[6].witness
     );
+    assert_eq!(
+        chain(&diags[8]),
+        vec![
+            (98, "`.spawn(…)` scoped worker"),
+            (99, "`.fetch_add(Ordering::Relaxed)` work cursor"),
+            (101, "`.push(…)` fold of a `Relaxed`-derived value"),
+        ],
+        "structured scoped X03 witness drifted: {:?}",
+        diags[8].witness
+    );
 }
 
 /// Negative corpus: the live pool protocol in miniature — the
@@ -205,7 +224,6 @@ fn kl_x_clean_pool_protocol_stays_silent() {
 /// unmutated it is silent — and deleting only the `records[pending[i]]`
 /// placement rendezvous makes KL-X01 fire in `run_batch`, proving the
 /// silence comes from the rendezvous, not from the pool being skipped.
-/// (This replaces the retired-fixture-only guarantee in `lint_v3.rs`.)
 #[test]
 fn live_pool_rendezvous_deletion_fires_kl_x01() {
     let src = workspace_file("crates/core/src/runner.rs");
@@ -250,19 +268,64 @@ fn live_pool_drop_join_deletion_fires_kl_x04() {
     );
 }
 
-/// The fleet and resilient sharded steppers stay silent under the v4 pass
-/// too — scoped regions remain KL-C's jurisdiction, and neither holds a
-/// lock or leaks a channel across threads.
+/// `Runner`'s pool is the workspace's one parallel mechanism: outside the
+/// analyzer's own sources, no Rust file opens a `thread::scope` region, and
+/// only `crates/core/src/runner.rs` calls `thread::spawn`.
 #[test]
-fn live_fleet_and_resilient_are_clean_under_v4() {
-    for rel in [
-        "crates/workloads/src/fleet.rs",
-        "crates/workloads/src/resilient.rs",
-    ] {
-        let src = workspace_file(rel);
-        let diags = protocol_diags("crates/core/src/under_test.rs", &src);
-        assert_eq!(diags, vec![], "{rel} fired under v4: {diags:?}");
+fn runner_pool_is_the_only_thread_code() {
+    fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "target") {
+                    walk(&path, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
     }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        walk(&root.join(dir), &mut files);
+    }
+    let mut offenders = Vec::new();
+    let mut runner_spawns = false;
+    for path in &files {
+        let rel = path
+            .strip_prefix(&root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        if rel.starts_with("crates/lint/") {
+            continue;
+        }
+        let src = std::fs::read_to_string(path).unwrap_or_default();
+        if src.contains("thread::scope") {
+            offenders.push(format!("{rel}: thread::scope"));
+        }
+        if src.contains("thread::spawn") {
+            if rel == "crates/core/src/runner.rs" {
+                runner_spawns = true;
+            } else {
+                offenders.push(format!("{rel}: thread::spawn"));
+            }
+        }
+    }
+    assert!(
+        files.len() > 50,
+        "workspace walk found only {} files",
+        files.len()
+    );
+    assert!(
+        offenders.is_empty(),
+        "thread code outside runner.rs: {offenders:?}"
+    );
+    assert!(runner_spawns, "runner.rs no longer spawns its pool");
 }
 
 /// Satellite: the `--json` report at schema_version 4 is byte-stable —

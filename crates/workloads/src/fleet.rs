@@ -151,11 +151,9 @@ impl Default for FleetSimConfig {
 /// machines to a different workload phase, then either
 /// [`FleetSim::step_serial`] (the scalar baseline: one
 /// [`HostMachine::solve`] per machine) or [`FleetSim::step_batched`] (the
-/// SoA path: machines sharded over worker threads, each worker driving one
-/// [`HostBatch`]) advances every machine one tick. The two step paths are
-/// bit-identical, and `step_batched` results are invariant in the worker
-/// count — machines are solved against their own scratch state regardless
-/// of how they shard.
+/// SoA path: one persistent [`HostBatch`] steps every machine on the
+/// calling thread) advances every machine one tick. The two step paths are
+/// bit-identical.
 #[derive(Debug)]
 pub struct FleetSim {
     machines: Vec<HostMachine>,
@@ -166,21 +164,14 @@ pub struct FleetSim {
     placer: FleetPlacer,
     rng: SimRng,
     churn_probability: f64,
-    /// One batch workspace per worker slot, reused across ticks.
-    workers: Vec<HostBatch>,
+    /// The batch workspace, reused across ticks.
+    batch: HostBatch,
 }
 
 /// Workload-phase intensity alphabet: a small set so phases revisit earlier
 /// configurations and the steady-state memoization pays off, as in
 /// production diurnal load.
 const PHASE_LEVELS: [f64; 3] = [0.25, 0.5, 1.0];
-
-/// Spawn threshold for the batched fleet path: a shard must carry at least
-/// this many machines before it earns its own thread. A steady-state tick
-/// over memo-warm machines costs well under a microsecond per machine, so
-/// below roughly this many machines per shard the per-tick spawn/join of
-/// `std::thread::scope` costs more than the shard saves.
-const MIN_MACHINES_PER_SHARD: usize = 2048;
 
 impl FleetSim {
     /// Builds a fleet: per machine one high-priority ML task (4 cores on
@@ -227,7 +218,7 @@ impl FleetSim {
             placer,
             rng,
             churn_probability: config.churn_probability,
-            workers: Vec::new(),
+            batch: HostBatch::new(),
         }
     }
 
@@ -244,8 +235,7 @@ impl FleetSim {
     /// One seeded churn round: each machine's ML task changes phase with
     /// the configured probability (drawn from the small phase alphabet, so
     /// configurations revisit and memoization applies); occasionally a
-    /// batch task flips too. Serial and deterministic — churn order never
-    /// depends on how a later step call shards machines over workers.
+    /// batch task flips too. Serial and deterministic.
     pub fn churn(&mut self) {
         for (i, &ml) in self.ml_tasks.iter().enumerate() {
             if self.rng.chance(self.churn_probability) {
@@ -267,10 +257,11 @@ impl FleetSim {
         self.machines.iter().map(|m| m.solve()).collect()
     }
 
-    /// The batched path: machines shard into `jobs` contiguous chunks, each
-    /// stepped by its own persistent [`HostBatch`] (on its own thread when
-    /// `jobs > 1`). Reports come back in machine order and are bit-identical
-    /// to [`FleetSim::step_serial`] on the same fleet state, for any `jobs`.
+    /// The batched path: one persistent [`HostBatch`] steps every machine
+    /// on the calling thread. Reports come back in machine order and are
+    /// bit-identical to [`FleetSim::step_serial`] on the same fleet state.
+    /// `jobs` is ignored: a fleet tick is too short to pay for a thread
+    /// fan-out, so parallelism lives in the run engine instead.
     pub fn step_batched(&mut self, jobs: usize) -> Vec<MachineReport> {
         let mut out = Vec::new();
         self.step_batched_into(jobs, &mut out);
@@ -281,62 +272,20 @@ impl FleetSim {
     /// in place: `out` is resized to one slot per machine and every slot is
     /// fully overwritten. Passing the same vector every tick keeps the
     /// steady-state adaptive-skip refresh off the allocator, which is where
-    /// the batch path's fleet-scale throughput comes from.
-    ///
-    /// `jobs` is a ceiling, not a mandate: the fleet shards onto threads
-    /// only when every shard clears [`MIN_MACHINES_PER_SHARD`], so a small
-    /// fleet at `jobs = 8` runs single-shard with zero thread machinery —
-    /// per-tick spawn cost cannot exceed what the parallelism returns.
-    /// Shard assignment is deterministic in fleet size alone, and each
-    /// shard's persistent [`HostBatch`] is reused across ticks.
-    pub fn step_batched_into(&mut self, jobs: usize, out: &mut Vec<MachineReport>) {
+    /// the batch path's fleet-scale throughput comes from. `jobs` is
+    /// ignored, as in [`FleetSim::step_batched`].
+    pub fn step_batched_into(&mut self, _jobs: usize, out: &mut Vec<MachineReport>) {
         let n = self.machines.len();
-        if n == 0 {
-            out.clear();
-            return;
-        }
         if out.len() != n {
             out.clear();
             out.resize_with(n, MachineReport::empty);
         }
-        let shards = jobs
-            .clamp(1, n)
-            .min(n.div_ceil(MIN_MACHINES_PER_SHARD))
-            .max(1);
-        if self.workers.len() < shards {
-            self.workers.resize_with(shards, HostBatch::new);
-        }
-        let chunk = n.div_ceil(shards);
-        if shards == 1 {
-            self.workers[0].step_into(&self.machines, out);
-            return;
-        }
-        std::thread::scope(|scope| {
-            for ((mchunk, ochunk), worker) in self
-                .machines
-                .chunks_mut(chunk)
-                .zip(out.chunks_mut(chunk))
-                .zip(self.workers.iter_mut())
-            {
-                scope.spawn(move || worker.step_into(mchunk, ochunk));
-            }
-        });
+        self.batch.step_into(&self.machines, out);
     }
 
-    /// Aggregate batch-path counters over all worker slots (saturating).
+    /// The batch path's counters.
     pub fn batch_stats(&self) -> HostBatchStats {
-        let mut total = HostBatchStats::default();
-        for w in &self.workers {
-            let s = w.stats();
-            total.machines_stepped = total.machines_stepped.saturating_add(s.machines_stepped);
-            total.adaptive_skips = total.adaptive_skips.saturating_add(s.adaptive_skips);
-            total.memo_hits = total.memo_hits.saturating_add(s.memo_hits);
-            total.lanes_solved = total.lanes_solved.saturating_add(s.lanes_solved);
-            total.lanes_converged = total.lanes_converged.saturating_add(s.lanes_converged);
-            total.down_steps = total.down_steps.saturating_add(s.down_steps);
-            total.lane_fallbacks = total.lane_fallbacks.saturating_add(s.lane_fallbacks);
-        }
-        total
+        self.batch.stats()
     }
 }
 

@@ -211,8 +211,8 @@ pub struct ResilientFleet {
     sick_streak: Vec<u32>,
     /// Previous tick's "any window active" per machine (onset counting).
     fault_active: Vec<bool>,
-    /// One batch workspace per worker slot, reused across ticks.
-    workers: Vec<HostBatch>,
+    /// The batch workspace, reused across ticks.
+    batch: HostBatch,
     /// Reused report buffer for the batched path.
     reports_buf: Vec<MachineReport>,
     tick: u64,
@@ -268,9 +268,6 @@ impl ResilientFleet {
                     placement,
                 },
             });
-            // Batch tenants share the high-priority job's socket: the
-            // contention is what gives brownout throttling something to
-            // reclaim and solver stress a genuinely coupled fixed point.
             // Batch tenants share the high-priority job's socket and are
             // deliberately bandwidth-hungry (deep MLP, short compute): the
             // contention is what gives brownout throttling something to
@@ -329,7 +326,7 @@ impl ResilientFleet {
             placer_down: vec![false; n],
             sick_streak: vec![0; n],
             fault_active: vec![false; n],
-            workers: Vec::new(),
+            batch: HostBatch::new(),
             reports_buf: Vec::new(),
             tick: 0,
             config,
@@ -385,38 +382,18 @@ impl ResilientFleet {
     }
 
     /// One tick through the batched SoA path: identical control flow, with
-    /// machines sharded into `jobs` contiguous chunks each stepped by a
-    /// persistent [`HostBatch`] (own thread when `jobs > 1`). Bit-identical
-    /// to [`ResilientFleet::tick_serial`] on the same fleet state for any
-    /// `jobs`, including crash and restart ticks.
-    pub fn tick_batched(&mut self, jobs: usize) -> Vec<MachineReport> {
+    /// one persistent [`HostBatch`] stepping every machine on the calling
+    /// thread. Bit-identical to [`ResilientFleet::tick_serial`] on the same
+    /// fleet state, including crash and restart ticks. `jobs` is ignored,
+    /// as in [`crate::FleetSim::step_batched`].
+    pub fn tick_batched(&mut self, _jobs: usize) -> Vec<MachineReport> {
         self.begin_tick();
         let n = self.machines.len();
         if self.reports_buf.len() != n {
             self.reports_buf.clear();
             self.reports_buf.resize_with(n, MachineReport::empty);
         }
-        let jobs = jobs.clamp(1, n.max(1));
-        if self.workers.len() < jobs {
-            self.workers.resize_with(jobs, HostBatch::new);
-        }
-        if n > 0 {
-            let chunk = n.div_ceil(jobs);
-            if jobs == 1 {
-                self.workers[0].step_into(&self.machines, &mut self.reports_buf);
-            } else {
-                std::thread::scope(|scope| {
-                    for ((mchunk, ochunk), worker) in self
-                        .machines
-                        .chunks_mut(chunk)
-                        .zip(self.reports_buf.chunks_mut(chunk))
-                        .zip(self.workers.iter_mut())
-                    {
-                        scope.spawn(move || worker.step_into(mchunk, ochunk));
-                    }
-                });
-            }
-        }
+        self.batch.step_into(&self.machines, &mut self.reports_buf);
         let reports = self.reports_buf.clone();
         self.observe(&reports);
         reports
@@ -722,12 +699,12 @@ impl ResilientFleet {
     }
 }
 
-/// Runs a full configuration through the batched path with `jobs` workers
-/// and returns the aggregate metrics.
-pub fn run_config(config: ResilientFleetConfig, jobs: usize) -> ResilientRunMetrics {
+/// Runs a full configuration through the batched path and returns the
+/// aggregate metrics.
+pub fn run_config(config: ResilientFleetConfig) -> ResilientRunMetrics {
     let mut fleet = ResilientFleet::new(config);
     for _ in 0..config.ticks {
-        fleet.tick_batched(jobs);
+        fleet.tick_batched(1);
     }
     fleet.metrics()
 }

@@ -6,8 +6,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+cargo test -q --workspace
 
 echo "== cargo fmt --check =="
 cargo fmt --check
@@ -16,10 +16,9 @@ echo "== kelp-lint --deny --baseline lint-baseline.json =="
 # Static analysis (crates/lint): token-level determinism / panic-safety /
 # hygiene rules plus the v2 AST passes (KL-R panic reachability over the
 # workspace call graph, KL-F float determinism, KL-S serde schema drift
-# against results/*.json), the v3 dataflow passes (KL-T nondeterminism
-# taint, KL-C parallel order sensitivity), and the v4 concurrency-protocol
-# pass (KL-X channel rendezvous / lock ordering / Relaxed discipline /
-# join contracts). Accepted pre-existing findings are pinned in
+# against results/*.json), the v3 dataflow pass (KL-T nondeterminism
+# taint), and the v4 concurrency-protocol pass (KL-X channel rendezvous /
+# lock ordering / Relaxed discipline / join contracts). Accepted pre-existing findings are pinned in
 # lint-baseline.json (regenerate with --write-baseline); any NEW finding
 # not covered by a justified inline allow fails the gate. Under --deny a
 # STALE pin (an entry matching nothing) is also a hard failure, not a
@@ -52,8 +51,8 @@ fi
 echo "== solver identity tests =="
 # The hot-path determinism contract: scratch reuse and memoization must be
 # bit-identical to fresh solves (tests/solver_hot.rs). Always runs, even
-# though `cargo test -q` above covers it, so a partial invocation of this
-# script section still gates the contract.
+# though the workspace test run above covers it, so a partial invocation
+# of this script section still gates the contract.
 cargo test -q --release --test solver_hot
 
 echo "== fault-matrix smoke (KELP_QUICK=1) =="
