@@ -35,7 +35,7 @@ pub struct ExperimentResult {
     /// Average of the four measurements over the measurement window.
     pub avg_measurements: Measurements,
     /// Modeling cost of the run: solves, fixed-point iterations and
-    /// evaluations, memo/warm-start hits, and wall time spent solving.
+    /// evaluations, memo/warm-start hits, and solver-health counters.
     pub solve: SolveStats,
     /// The ML workload (for trace extraction after the run).
     pub ml_workload: Option<Box<dyn Workload>>,
@@ -327,10 +327,6 @@ impl ExperimentBuilder {
         let mut last_derate = 1.0_f64;
         let mut last_live: Option<MemCounters> = None;
         let mut frozen: Option<MemCounters> = None;
-        // Wall time spent in machine.solve(). Reporting-only: it rides in
-        // SolveStats.solve_ns, which the record layer keeps out of
-        // byte-identity comparisons.
-        let mut solve_ns = 0u64;
 
         while now < end {
             for w in ml.iter_mut().chain(cpu.iter_mut()) {
@@ -351,9 +347,7 @@ impl ExperimentBuilder {
                     }
                 }
             }
-            let solve_start = std::time::Instant::now();
             machine.step_into(&mut scratch.report);
-            solve_ns += solve_start.elapsed().as_nanos() as u64;
             let report = &scratch.report;
             // What the memory system actually did this step (reporting).
             let true_m =
@@ -426,9 +420,7 @@ impl ExperimentBuilder {
             }
         }
 
-        let mut solve = machine.solve_stats();
-        // kelp-lint: allow(KL-T01): solve_ns is profiling telemetry (like RunMeta::wall_ms), excluded from payload byte comparisons.
-        solve.solve_ns = solve_ns;
+        let solve = machine.solve_stats();
         // Hand the solver workspace back for the next spec.
         scratch.solver = machine.take_scratch();
 
@@ -539,7 +531,6 @@ mod tests {
             r.solve
         );
         assert!(r.solve.evaluations >= r.solve.iterations);
-        assert!(r.solve.solve_ns > 0);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! | [`knee`] | the §III-A throughput–latency sweep the paper omits |
 //! | [`ablation`] | sampling-period / backfill / watermark ablations |
 //! | [`cluster`] | §II-D tail amplification at cluster scale |
-//! | [`fleet_scale`] | ISSUE 6 — batched SoA fleet stepping vs scalar baseline |
 //! | [`fleet_faults`] | ISSUE 7 — machine-lifecycle faults, self-healing vs static placement |
 //! | [`scorecard`] | programmatic check of every headline claim |
 //! | [`faults`] | fault matrix — KP vs KP-H under injected faults |
@@ -27,7 +26,6 @@ pub mod cluster;
 pub mod faults;
 pub mod fleet;
 pub mod fleet_faults;
-pub mod fleet_scale;
 pub mod knee;
 pub mod mix;
 pub mod overall;

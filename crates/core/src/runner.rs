@@ -19,8 +19,9 @@
 //!   in-memory hash index, so a cold spec costs a set probe instead of a
 //!   file open, and fresh records are flushed in one batched pass.
 //!
-//! The engine records per-run wall time and simulation throughput in
-//! [`RunMeta`] so `repro_all` can report where the time goes.
+//! The engine never reads the host clock: a record is a pure function of
+//! its spec, apart from [`RunMeta::cached`]. Wall-clock profiling lives
+//! outside the records, in the benchmark harnesses.
 
 use crate::config::ExperimentConfig;
 use crate::driver::{ExecScratch, Experiment, ExperimentBuilder, ExperimentResult};
@@ -43,7 +44,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
 
 /// Salt decorrelating the fault-injection RNG stream from the workload
 /// seed streams derived from the same spec seed.
@@ -345,7 +345,7 @@ impl RunSpec {
         Ok(builder.config(self.config.clone()))
     }
 
-    /// Runs the spec to completion, recording wall time and throughput.
+    /// Runs the spec to completion.
     ///
     /// Never panics: validation failures and caught simulation panics both
     /// produce an error-carrying record (see [`RunRecord::error`]) so one
@@ -360,20 +360,17 @@ impl RunSpec {
     /// specs a worker retires. A caught panic may leave the scratch's
     /// arenas defaulted; the next run simply regrows them.
     pub fn execute_with(&self, scratch: &mut ExecScratch) -> RunRecord {
-        // kelp-lint: allow(KL-T01): wall_ms/steps_per_sec are whole-run telemetry in RunMeta, excluded from payload byte comparisons.
-        let start = Instant::now();
         if let Err(error) = self.validate() {
-            return RunRecord::from_error(error, start.elapsed().as_secs_f64() * 1e3);
+            return RunRecord::from_error(error);
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.build().map(|b| b.run_with(scratch))
         }));
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         match outcome {
-            Ok(Ok(result)) => RunRecord::from_result(&result, &self.config, wall_ms),
-            Ok(Err(error)) => RunRecord::from_error(error, wall_ms),
+            Ok(Ok(result)) => RunRecord::from_result(&result, &self.config),
+            Ok(Err(error)) => RunRecord::from_error(error),
             Err(payload) => {
-                RunRecord::from_error(RunError::panicked(panic_message(payload.as_ref())), wall_ms)
+                RunRecord::from_error(RunError::panicked(panic_message(payload.as_ref())))
             }
         }
     }
@@ -502,18 +499,12 @@ fn reversals(values: impl Iterator<Item = i64>) -> u64 {
 /// Execution metadata recorded by the engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunMeta {
-    /// Wall-clock time of the simulation in milliseconds.
-    pub wall_ms: f64,
     /// Number of simulation steps ((warmup + duration) / dt).
     pub sim_steps: u64,
-    /// Simulation steps per wall-clock second.
-    pub steps_per_sec: f64,
     /// Whether the record was loaded from the result cache.
     pub cached: bool,
     /// Solver cost counters for the run (solves, fixed-point iterations,
-    /// evaluations, memo/warm-start hits, wall time in the solver). Lives
-    /// in `meta`, which payload comparisons exclude, because `solve_ns` is
-    /// wall-clock.
+    /// evaluations, memo/warm-start hits, solver-health counters).
     #[serde(default)]
     pub solve: SolveStats,
 }
@@ -538,14 +529,15 @@ pub struct RunRecord {
     /// Present when the run failed (validation rejection or caught panic);
     /// every performance field is zeroed in that case.
     pub error: Option<RunError>,
-    /// Engine metadata (wall time, throughput, cache status).
+    /// Engine metadata (simulated steps, cache status, solver counters).
+    /// Everything but `meta.cached` is a pure function of the spec, so two
+    /// executions of one spec produce equal records.
     pub meta: RunMeta,
 }
 
 impl RunRecord {
     /// Extracts the serializable subset of an [`ExperimentResult`].
-    pub fn from_result(result: &ExperimentResult, config: &ExperimentConfig, wall_ms: f64) -> Self {
-        let sim_steps = (config.warmup + config.duration).div_duration(config.dt);
+    pub fn from_result(result: &ExperimentResult, config: &ExperimentConfig) -> Self {
         RunRecord {
             ml_name: result.ml_name.clone(),
             ml_performance: result.ml_performance,
@@ -556,13 +548,7 @@ impl RunRecord {
             actuators: ActuatorStats::from_series(&result.policy_series),
             error: None,
             meta: RunMeta {
-                wall_ms,
-                sim_steps,
-                steps_per_sec: if wall_ms > 0.0 {
-                    sim_steps as f64 / (wall_ms / 1e3)
-                } else {
-                    0.0
-                },
+                sim_steps: (config.warmup + config.duration).div_duration(config.dt),
                 cached: false,
                 solve: result.solve,
             },
@@ -570,7 +556,7 @@ impl RunRecord {
     }
 
     /// A record carrying a structured error in place of results.
-    pub fn from_error(error: RunError, wall_ms: f64) -> Self {
+    pub fn from_error(error: RunError) -> Self {
         RunRecord {
             ml_name: None,
             ml_performance: PerfSnapshot::zero(),
@@ -581,9 +567,7 @@ impl RunRecord {
             actuators: ActuatorStats::default(),
             error: Some(error),
             meta: RunMeta {
-                wall_ms,
                 sim_steps: 0,
-                steps_per_sec: 0.0,
                 cached: false,
                 solve: SolveStats::default(),
             },
@@ -634,10 +618,9 @@ impl<'a> RecordCursor<'a> {
         self.iter.next().unwrap_or_else(|| {
             self.missing += 1;
             MISSING_RECORD.get_or_init(|| {
-                RunRecord::from_error(
-                    RunError::internal("fold consumed more records than the batch produced"),
-                    0.0,
-                )
+                RunRecord::from_error(RunError::internal(
+                    "fold consumed more records than the batch produced",
+                ))
             })
         })
     }
@@ -832,10 +815,9 @@ impl Runner {
         self.run_batch(std::slice::from_ref(spec))
             .pop()
             .unwrap_or_else(|| {
-                RunRecord::from_error(
-                    RunError::internal("run_batch returned no record for a one-spec batch"),
-                    0.0,
-                )
+                RunRecord::from_error(RunError::internal(
+                    "run_batch returned no record for a one-spec batch",
+                ))
             })
     }
 
@@ -982,10 +964,9 @@ impl Runner {
             .into_iter()
             .map(|slot| {
                 records.get(slot).cloned().flatten().unwrap_or_else(|| {
-                    RunRecord::from_error(
-                        RunError::internal("worker pool left a batch slot unexecuted"),
-                        0.0,
-                    )
+                    RunRecord::from_error(RunError::internal(
+                        "worker pool left a batch slot unexecuted",
+                    ))
                 })
             })
             .collect()
@@ -1203,15 +1184,18 @@ mod tests {
     }
 
     #[test]
-    fn meta_records_wall_time_and_steps() {
+    fn meta_records_steps_and_is_reproducible() {
         let record = quick_spec().execute();
         let cfg = ExperimentConfig::quick();
         assert_eq!(
             record.meta.sim_steps,
             (cfg.warmup + cfg.duration).div_duration(cfg.dt)
         );
-        assert!(record.meta.wall_ms > 0.0);
-        assert!(record.meta.steps_per_sec > 0.0);
         assert!(!record.meta.cached);
+        assert_eq!(
+            record,
+            quick_spec().execute(),
+            "a record is a function of its spec"
+        );
     }
 }

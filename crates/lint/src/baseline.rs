@@ -3,7 +3,7 @@
 //! violations.
 //!
 //! Entries are keyed by `(rule, file, symbol)` — the symbol is a stable
-//! path like `mem::SolverScratch::solve` or `RunMeta::wall_ms`, so pinned
+//! path like `mem::SolverScratch::solve` or `RunMeta::cached`, so pinned
 //! findings survive unrelated line drift. Rules that carry no symbol
 //! (token-level v1 rules) fall back to the line number. Stale entries
 //! (pinning nothing) are reported as notes, never as failures: deleting

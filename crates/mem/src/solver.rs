@@ -146,7 +146,9 @@ pub struct TaskResult {
 /// its iterations/evaluations, whether it warm-started); callers that sit in
 /// front of the solver — the host's memoizing `solve()`, the experiment
 /// driver — accumulate these with [`SolveStats::absorb`] and fill in the
-/// fields the pure solver cannot know (`memo_hits`, `solve_ns`).
+/// fields the pure solver cannot know (`memo_hits`, `rescues`,
+/// `safe_states`). Every field is a count, so the stats of a run are a pure
+/// function of its spec.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveStats {
     /// Solve requests, whether memoized or computed.
@@ -162,9 +164,6 @@ pub struct SolveStats {
     /// Computed solves whose fixed point started from a previous call's
     /// converged rates instead of the zero-load estimate.
     pub warm_hits: u64,
-    /// Wall time spent inside solve calls, in nanoseconds. The pure solver
-    /// leaves this zero; timing callers fill it in.
-    pub solve_ns: u64,
     /// Computed solves whose fixed point exhausted its iteration budget
     /// without meeting tolerance (non-convergence is a first-class outcome,
     /// not a silent flag on the output).
@@ -195,7 +194,6 @@ impl SolveStats {
         self.evaluations = self.evaluations.saturating_add(other.evaluations);
         self.memo_hits = self.memo_hits.saturating_add(other.memo_hits);
         self.warm_hits = self.warm_hits.saturating_add(other.warm_hits);
-        self.solve_ns = self.solve_ns.saturating_add(other.solve_ns);
         self.non_converged = self.non_converged.saturating_add(other.non_converged);
         self.rescues = self.rescues.saturating_add(other.rescues);
         self.safe_states = self.safe_states.saturating_add(other.safe_states);
@@ -1417,7 +1415,6 @@ impl MemSystem {
                 evaluations: fp.iterations as u64 + 1,
                 memo_hits: 0,
                 warm_hits: u64::from(warm),
-                solve_ns: 0,
                 non_converged: u64::from(!fp.converged),
                 rescues: 0,
                 safe_states: 0,
@@ -1540,7 +1537,6 @@ mod tests {
             evaluations: 10,
             memo_hits: 0,
             warm_hits: u64::MAX - 5,
-            solve_ns: 7,
             non_converged: u64::MAX,
             ..Default::default()
         };
@@ -1550,7 +1546,6 @@ mod tests {
             evaluations: 3,
             memo_hits: 2,
             warm_hits: 5,
-            solve_ns: 8,
             non_converged: 1,
             rescues: 2,
             safe_states: 3,
@@ -1560,7 +1555,6 @@ mod tests {
         assert_eq!(acc.evaluations, 13);
         assert_eq!(acc.memo_hits, 2);
         assert_eq!(acc.warm_hits, u64::MAX);
-        assert_eq!(acc.solve_ns, 15);
         assert_eq!(acc.non_converged, u64::MAX);
         assert_eq!(acc.rescues, 2);
         assert_eq!(acc.safe_states, 3);
@@ -2042,7 +2036,6 @@ mod tests {
         assert_eq!(out.stats.evaluations, out.stats.iterations + 1);
         assert_eq!(out.stats.memo_hits, 0);
         assert_eq!(out.stats.warm_hits, 0);
-        assert_eq!(out.stats.solve_ns, 0);
     }
 
     #[test]
@@ -2053,7 +2046,6 @@ mod tests {
             evaluations: 11,
             memo_hits: 0,
             warm_hits: 1,
-            solve_ns: 100,
             non_converged: 1,
             rescues: 0,
             safe_states: 1,
@@ -2064,7 +2056,6 @@ mod tests {
             evaluations: 7,
             memo_hits: 1,
             warm_hits: 0,
-            solve_ns: 50,
             non_converged: 2,
             rescues: 1,
             safe_states: 0,
@@ -2075,7 +2066,6 @@ mod tests {
         assert_eq!(a.evaluations, 18);
         assert_eq!(a.memo_hits, 1);
         assert_eq!(a.warm_hits, 1);
-        assert_eq!(a.solve_ns, 150);
         assert_eq!(a.non_converged, 3);
         assert_eq!(a.rescues, 1);
         assert_eq!(a.safe_states, 1);

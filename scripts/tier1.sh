@@ -9,6 +9,12 @@ cargo build --release
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
+echo "== kelp_benchmark self-tests =="
+# The live benchmark is a package of its own, so the workspace run above
+# never compiles it. It links `RunMeta` and `SolveStats`; this catches a
+# simulator API change that would break it.
+cargo test -q --offline --locked --manifest-path crates/bench/src/bin/kelp_benchmark/Cargo.toml
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

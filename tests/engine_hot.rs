@@ -21,14 +21,12 @@ fn quick() -> ExperimentConfig {
     ExperimentConfig::from_env()
 }
 
-/// Everything except `meta` (wall-time differs run to run by construction).
+/// The whole record with only `meta.cached` masked: a cache hit must equal
+/// the execution that produced it in every other field.
 fn payload(record: &RunRecord) -> Value {
-    match record.to_value() {
-        Value::Map(entries) => {
-            Value::Map(entries.into_iter().filter(|(k, _)| k != "meta").collect())
-        }
-        other => other,
-    }
+    let mut record = record.clone();
+    record.meta.cached = false;
+    record.to_value()
 }
 
 fn payload_text(record: &RunRecord) -> String {
@@ -239,6 +237,25 @@ fn cache_index_agrees_with_per_file_probes() {
         assert!(
             dir.0.join(format!("{:016x}.json", spec.hash())).is_file(),
             "every executed spec must land in the cache directory"
+        );
+    }
+
+    // Cold runs of the batch write byte-identical cache files whichever
+    // engine executes them: every stored record is a function of its spec.
+    let serial_dir = TempCacheDir::new("bytes-serial");
+    let pooled_dir = TempCacheDir::new("bytes-pooled");
+    Runner::serial()
+        .with_cache(serial_dir.0.clone())
+        .run_batch(&batch);
+    Runner::new(2)
+        .with_cache(pooled_dir.0.clone())
+        .run_batch(&batch);
+    for spec in &batch {
+        let name = format!("{:016x}.json", spec.hash());
+        assert_eq!(
+            std::fs::read_to_string(serial_dir.0.join(&name)).unwrap(),
+            std::fs::read_to_string(pooled_dir.0.join(&name)).unwrap(),
+            "{name}: serial and pooled cold runs cached different bytes"
         );
     }
 }
