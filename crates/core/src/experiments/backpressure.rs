@@ -194,8 +194,8 @@ impl BackpressureResult {
 }
 
 /// The fractions of low-priority prefetchers disabled along the sweep.
-fn sweep_fractions() -> Vec<f64> {
-    vec![0.0, 0.25, 0.5, 0.75, 1.0]
+fn sweep_fractions() -> [f64; 5] {
+    [0.0, 0.25, 0.5, 0.75, 1.0]
 }
 
 /// The workloads panelled in Figure 7.
@@ -210,11 +210,13 @@ fn panel_workloads() -> [MlWorkloadKind; 3] {
 /// Enumerates the Figure 7 grid: per workload, the standalone reference
 /// then one fixed-prefetch run per (level, disabled fraction).
 pub fn specs(config: &ExperimentConfig) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
+    let levels = AggressorLevel::all().len();
+    let mut specs =
+        Vec::with_capacity(panel_workloads().len() * (1 + levels * sweep_fractions().len()));
     for ml in panel_workloads() {
         specs.push(super::standalone_spec(ml, config));
         for level in AggressorLevel::all() {
-            for &disabled in &sweep_fractions() {
+            for disabled in sweep_fractions() {
                 specs.push(
                     RunSpec::new(ml, PolicyKind::KelpSubdomain, config)
                         .with_policy(PolicySpec::FixedPrefetch(disabled))
@@ -236,7 +238,7 @@ pub fn fold(records: &[RunRecord]) -> BackpressureResult {
         let mut series = Vec::new();
         for level in AggressorLevel::all() {
             let mut points = Vec::new();
-            for &disabled in &disabled_fractions {
+            for disabled in disabled_fractions {
                 let r = next.take();
                 let normalized_tail =
                     match (r.ml_performance.tail_latency_ms, standalone.tail_latency_ms) {
@@ -258,7 +260,7 @@ pub fn fold(records: &[RunRecord]) -> BackpressureResult {
         });
     }
     BackpressureResult {
-        disabled_fractions,
+        disabled_fractions: disabled_fractions.to_vec(),
         panels,
     }
 }

@@ -128,7 +128,8 @@ fn mix_spec(policy: PolicyKind, config: &ExperimentConfig) -> RunSpec {
 /// Enumerates the matrix: per policy, the fault-free reference followed by
 /// one run per (fault class, intensity).
 pub fn specs(config: &ExperimentConfig) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
+    let per_policy = 1 + FaultKind::all().len() * Intensity::all().len();
+    let mut specs = Vec::with_capacity(policies().len() * per_policy);
     for policy in policies() {
         specs.push(mix_spec(policy, config));
         for kind in FaultKind::all() {

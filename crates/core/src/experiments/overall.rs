@@ -202,7 +202,8 @@ impl OverallResult {
 /// reference followed by one run per (CPU workload, paper-set policy) pair.
 /// [`fold`] consumes the records in exactly this order.
 pub fn specs(config: &ExperimentConfig) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
+    let per_ml = 1 + cpu_workload_set().len() * PolicyKind::paper_set().len();
+    let mut specs = Vec::with_capacity(MlWorkloadKind::all().len() * per_ml);
     for ml in MlWorkloadKind::all() {
         specs.push(super::standalone_spec(ml, config));
         for (cpu_kind, threads) in cpu_workload_set() {

@@ -85,7 +85,8 @@ pub fn figure16_with(runner: &Runner, config: &ExperimentConfig) -> RemoteSweepR
 /// Enumerates the sweep grid: per workload, the standalone reference then
 /// one Baseline run per (thread fraction, data fraction) placement.
 pub fn specs(workloads: &[MlWorkloadKind], config: &ExperimentConfig) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
+    let per_ml = 1 + THREAD_FRACTIONS.len() * DATA_FRACTIONS.len();
+    let mut specs = Vec::with_capacity(workloads.len() * per_ml);
     for &ml in workloads {
         specs.push(super::standalone_spec(ml, config));
         for &tf in &THREAD_FRACTIONS {

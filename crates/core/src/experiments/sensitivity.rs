@@ -87,7 +87,7 @@ impl SensitivityResult {
 /// Enumerates the sensitivity grid: per workload, the standalone reference
 /// followed by one Baseline run against each aggressor kind.
 pub fn specs(aggressors: &[BatchKind], config: &ExperimentConfig) -> Vec<RunSpec> {
-    let mut specs = Vec::new();
+    let mut specs = Vec::with_capacity(MlWorkloadKind::all().len() * (1 + aggressors.len()));
     for ml in MlWorkloadKind::all() {
         specs.push(super::standalone_spec(ml, config));
         for &kind in aggressors {

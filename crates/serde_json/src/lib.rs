@@ -222,9 +222,17 @@ fn write_string<S: JsonSink + ?Sized>(out: &mut S, s: &str) {
 // ---------------------------------------------------------------------------
 
 fn parse(s: &str) -> Result<Value, Error> {
+    parse_with(s, parse_string)
+}
+
+/// Reads one JSON string starting at its opening quote.
+type StringParser = fn(&[u8], &mut usize) -> Result<String, Error>;
+
+/// Parses a whole document, reading every string and key with `string`.
+fn parse_with(s: &str, string: StringParser) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, string)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::new(format!("trailing characters at byte {pos}")));
@@ -238,14 +246,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_value(bytes: &[u8], pos: &mut usize, string: StringParser) -> Result<Value, Error> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(Error::new("unexpected end of input")),
         Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
+        Some(b'"') => string(bytes, pos).map(Value::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -255,7 +263,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Seq(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, string)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -277,13 +285,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(Error::new(format!("expected `:` at byte {pos}")));
                 }
                 *pos += 1;
-                let val = parse_value(bytes, pos)?;
+                let val = parse_value(bytes, pos, string)?;
                 entries.push((key, val));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -316,13 +324,26 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of plain characters up to the next `"` or `\` as one
+        // slice. Both are ASCII, so on the bytes of a `&str` the run ends on
+        // a character boundary and the UTF-8 check cannot fail.
+        let rest = &bytes[*pos..];
+        let run = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        out.push_str(
+            std::str::from_utf8(&rest[..run]).map_err(|_| Error::new("invalid UTF-8 in string"))?,
+        );
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err(Error::new("unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            // The run stopped at a backslash.
+            Some(_) => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -348,17 +369,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                     _ => return Err(Error::new(format!("bad escape at byte {pos}"))),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| Error::new("truncated string"))?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -500,5 +510,195 @@ mod tests {
         assert_eq!(v, back);
         let nums: Vec<i32> = from_str("[1,2,3]").unwrap();
         assert_eq!(nums, vec![1, 2, 3]);
+    }
+
+    /// The character-at-a-time `parse_string` the run-copying one replaced,
+    /// kept verbatim as the oracle of
+    /// `parse_matches_the_char_at_a_time_reference`.
+    fn parse_string_by_char(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(Error::new(format!("expected `\"` at byte {pos}")));
+        }
+        *pos += 1;
+        let mut out = String::new();
+        loop {
+            match bytes.get(*pos) {
+                None => return Err(Error::new("unterminated string")),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    *pos += 1;
+                    match bytes.get(*pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{08}'),
+                        Some(b'f') => out.push('\u{0c}'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(*pos + 1..*pos + 5)
+                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| Error::new("bad \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| Error::new("bad \\u escape"))?;
+                            // Surrogate pairs are not needed by this repo's data.
+                            out.push(
+                                char::from_u32(code).ok_or_else(|| Error::new("bad \\u escape"))?,
+                            );
+                            *pos += 4;
+                        }
+                        _ => return Err(Error::new(format!("bad escape at byte {pos}"))),
+                    }
+                    *pos += 1;
+                }
+                Some(_) => {
+                    // Consume one UTF-8 character.
+                    let rest = std::str::from_utf8(&bytes[*pos..])
+                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
+                    let c = rest
+                        .chars()
+                        .next()
+                        .ok_or_else(|| Error::new("truncated string"))?;
+                    out.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// SplitMix64. The crate has no dependencies, so its property test
+    /// carries its own seeded generator.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A char drawn uniformly from the code points in `range`.
+        fn char_in(&mut self, range: std::ops::Range<u32>) -> Option<char> {
+            char::from_u32(range.start + self.below((range.end - range.start) as usize) as u32)
+        }
+    }
+
+    /// Marks, in a generated string, where the rendered document gets a raw
+    /// escape from [`RAW_ESCAPES`] spliced in: the writer never emits `\/`
+    /// or an invalid escape.
+    const SPLICE: char = '\u{e000}';
+
+    /// Every short escape, valid `\u` escapes, then invalid ones: lone
+    /// surrogates, non-hex digits, escapes cut short by the closing quote,
+    /// and unknown escape letters. `\u+041` is accepted by both parsers
+    /// (`from_str_radix` takes a sign).
+    const RAW_ESCAPES: [&str; 22] = [
+        "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u0041", "\\u00e9", "\\u20AC",
+        "\\uffff", "\\u+041", "\\uD83D", "\\udfff", "\\u12G4", "\\u00é", "\\u0é", "\\u00", "\\u",
+        "\\x", "\\'",
+    ];
+
+    /// Entries of [`RAW_ESCAPES`] that both parsers accept.
+    const VALID_ESCAPES: usize = 13;
+
+    /// A string mixing ASCII (quotes, backslashes and control characters
+    /// included), 2-, 3- and 4-byte UTF-8, and splice marks.
+    fn random_string(rng: &mut SplitMix) -> String {
+        (0..rng.below(9))
+            .map(|_| {
+                let c = match rng.below(10) {
+                    0 => Some(SPLICE),
+                    1 => Some(if rng.below(2) == 0 { '"' } else { '\\' }),
+                    2 => rng.char_in(0..0x20),
+                    3 | 4 => rng.char_in(0x20..0x7f),
+                    5 | 6 => rng.char_in(0x80..0x800),
+                    7 | 8 => rng.char_in(0x800..0x1_0000).filter(|&c| c != SPLICE),
+                    _ => rng.char_in(0x1_0000..0x11_0000),
+                };
+                // Surrogate code points are not chars.
+                c.unwrap_or('€')
+            })
+            .collect()
+    }
+
+    fn random_value(rng: &mut SplitMix, depth: usize) -> Value {
+        let width = |rng: &mut SplitMix| 0..rng.below(4);
+        match rng.below(if depth == 0 { 6 } else { 8 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 0),
+            2 => Value::UInt(rng.next() >> rng.below(64)),
+            3 => Value::Int(-((rng.next() >> (1 + rng.below(63))) as i64)),
+            4 => Value::Float(
+                (rng.next() as f64 / u64::MAX as f64 - 0.5) * 10f64.powi(rng.below(41) as i32 - 20),
+            ),
+            5 => Value::Str(random_string(rng)),
+            6 => Value::Seq(width(rng).map(|_| random_value(rng, depth - 1)).collect()),
+            _ => Value::Map(
+                width(rng)
+                    .map(|_| (random_string(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn parse_matches_the_char_at_a_time_reference() {
+        let mut rng = SplitMix(0x5eed);
+        let mut spliced = [0usize; RAW_ESCAPES.len()];
+        let (mut ok, mut err) = (0, 0);
+        for _ in 0..300 {
+            let value = Value::Seq((0..3).map(|_| random_value(&mut rng, 3)).collect());
+            let text = if rng.below(2) == 0 {
+                to_string(&value)
+            } else {
+                to_string_pretty(&value)
+            };
+            let mut doc = String::new();
+            for c in text.unwrap().chars() {
+                if c != SPLICE {
+                    doc.push(c);
+                    continue;
+                }
+                // Mostly valid escapes, so that most documents parse.
+                let i = if rng.below(5) == 0 {
+                    VALID_ESCAPES + rng.below(RAW_ESCAPES.len() - VALID_ESCAPES)
+                } else {
+                    rng.below(VALID_ESCAPES)
+                };
+                spliced[i] += 1;
+                doc.push_str(RAW_ESCAPES[i]);
+            }
+            for end in (0..=doc.len()).filter(|&end| doc.is_char_boundary(end)) {
+                let prefix = &doc[..end];
+                let got = parse(prefix).map_err(|e| e.to_string());
+                let want = parse_with(prefix, parse_string_by_char).map_err(|e| e.to_string());
+                assert_eq!(got, want, "on {prefix:?}");
+                if end == doc.len() {
+                    if got.is_ok() {
+                        ok += 1;
+                    } else {
+                        err += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            ok >= 100 && err >= 30,
+            "{ok} whole documents parsed, {err} failed"
+        );
+        assert!(spliced.iter().all(|&n| n > 0), "{spliced:?}");
     }
 }

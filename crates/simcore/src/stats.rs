@@ -126,9 +126,9 @@ impl OnlineStats {
 
 /// Exact percentile computation over a retained sample buffer.
 ///
-/// Samples are kept until queried; percentile queries sort a scratch copy.
-/// For the sample counts in this reproduction (at most a few hundred
-/// thousand) this is both exact and fast enough.
+/// Samples are kept until queried; a percentile query selects its order
+/// statistics from a scratch copy, in linear time rather than a sort's
+/// `n log n`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SampleSet {
     samples: Vec<f64>,
@@ -177,12 +177,7 @@ impl SampleSet {
     ///
     /// Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        quantile_of_sorted(&sorted, q)
+        quantile_by_selection(&mut self.samples.clone(), q)
     }
 
     /// Convenience: the 95th percentile (RNN1 tail latency metric).
@@ -201,21 +196,42 @@ impl SampleSet {
     }
 }
 
+/// Where the `q`-quantile of `n > 0` sorted values falls: the ranks of the
+/// two order statistics it interpolates between, and the weight of the
+/// upper one.
+fn quantile_ranks(n: usize, q: f64) -> (usize, usize, f64) {
+    let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
 /// Quantile of an already-sorted slice with linear interpolation.
 pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
+    let (lo, hi, frac) = quantile_ranks(sorted.len(), q);
     if lo == hi {
         sorted[lo]
     } else {
-        let frac = pos - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
+}
+
+/// [`quantile_of_sorted`] of `samples` sorted by `total_cmp`, bit for bit,
+/// without the sort: selects the lower order statistic, then takes the
+/// minimum of the values above it for the upper one. Reorders `samples`.
+pub(crate) fn quantile_by_selection(samples: &mut [f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let (lo, hi, frac) = quantile_ranks(samples.len(), q);
+    let (_, &mut low, above) = samples.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        return low;
+    }
+    let high = above.iter().copied().min_by(f64::total_cmp).unwrap_or(low);
+    low * (1.0 - frac) + high * frac
 }
 
 /// P² streaming quantile estimator (Jain & Chlamtac, 1985).
@@ -528,6 +544,38 @@ mod tests {
         assert!((s.quantile(1.0) - 100.0).abs() < 1e-12);
         assert!((s.quantile(0.5) - 50.5).abs() < 1e-12);
         assert!((s.p95() - 95.05).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quantile_by_selection_equals_sorting_bit_for_bit() {
+        let mut rng = SimRng::seed_from(7);
+        // Drawing half the values from a small pool forces duplicates and
+        // mixes the two zeros, which `total_cmp` orders apart.
+        let pool = [0.0, -0.0, 1.0, -1.0, 0.5, 2.5e-3, 1e300, -1e-300];
+        assert_eq!(quantile_by_selection(&mut [], 0.5), 0.0);
+        for case in 0..600 {
+            let len = match case % 4 {
+                0 => 1,
+                1 => 2,
+                _ => 1 + (rng.next_u64() % 300) as usize,
+            };
+            let samples: Vec<f64> = (0..len)
+                .map(|_| {
+                    if rng.chance(0.5) {
+                        pool[(rng.next_u64() % pool.len() as u64) as usize]
+                    } else {
+                        rng.normal(0.0, 1.0)
+                    }
+                })
+                .collect();
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            for q in [0.0, 0.5, 0.95, 0.99, 1.0, rng.next_f64()] {
+                let want = quantile_of_sorted(&sorted, q);
+                let got = quantile_by_selection(&mut samples.clone(), q);
+                assert_eq!(got.to_bits(), want.to_bits(), "q {q} of {samples:?}");
+            }
+        }
     }
 
     #[test]

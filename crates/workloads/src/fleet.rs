@@ -95,9 +95,10 @@ impl FleetModel {
         let mut rng = SimRng::seed_from(seed);
         let mu = self.base_median.ln();
         let mut p99s = Vec::with_capacity(self.machines);
+        let mut samples = SampleSet::new();
         for _ in 0..self.machines {
             let hot = rng.chance(self.hot_probability);
-            let mut samples = SampleSet::new();
+            samples.clear();
             let mut mrng = rng.fork(0);
             for _ in 0..self.samples_per_machine {
                 let base = mrng.log_normal(mu, self.base_sigma).min(0.98);
