@@ -1201,4 +1201,50 @@ mod tests {
             "a record is a function of its spec"
         );
     }
+
+    #[test]
+    fn clones_run_overlapping_batches_from_two_threads() {
+        // Clones share `pool` and `cache_index`: two threads released
+        // together run pool-sized batches at once, contend for both
+        // mutexes, and both execute and cache seeds 2..6.
+        let dir = std::env::temp_dir().join(format!("kelp-runner-clones-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let specs = |seeds: std::ops::Range<u64>| -> Vec<RunSpec> {
+            seeds.map(|seed| quick_spec().with_seed(seed)).collect()
+        };
+        let uncached = |record: &RunRecord| {
+            let mut record = record.clone();
+            record.meta.cached = false;
+            record
+        };
+        let serial = Runner::serial().run_batch(&specs(0..8));
+
+        let runner = Runner::new(2).with_cache(&dir);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let handles = [specs(0..6), specs(2..8)].map(|batch| {
+            assert!(batch.len() > POOL_SPAWN_THRESHOLD);
+            let (runner, start) = (runner.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                (batch[0].seed, runner.run_batch(&batch))
+            })
+        });
+        for handle in handles {
+            let (first, records) = handle.join().expect("batch thread panicked");
+            for (seed, record) in (first..).zip(&records) {
+                assert_eq!(
+                    uncached(record),
+                    serial[seed as usize],
+                    "seed {seed} diverged from serial"
+                );
+            }
+        }
+
+        let warm = Runner::new(2).with_cache(&dir).run_batch(&specs(0..8));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (seed, record) in warm.iter().enumerate() {
+            assert!(record.meta.cached, "seed {seed} missed the cache");
+            assert_eq!(uncached(record), serial[seed], "seed {seed} cached wrong");
+        }
+    }
 }

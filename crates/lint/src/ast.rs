@@ -239,8 +239,8 @@ pub enum Expr {
         line: u32,
     },
     /// A range expression (`a..b`, `..`, `..=x`). Kept distinct from
-    /// binary operators because full-range indexing (`&xs[..]`) cannot
-    /// panic and the panic-site collector exempts it.
+    /// binary operators so full-range indexing (`&xs[..]`), which cannot
+    /// panic, stays recognisable.
     Range { operands: Vec<Expr>, line: u32 },
     /// A literal (string, char, number).
     Lit { line: u32 },

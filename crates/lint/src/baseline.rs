@@ -215,7 +215,7 @@ mod tests {
     fn prune_round_trip_removes_only_stale_entries() {
         let live_sym = diag("KL-R02", "a.rs", 100, "core::f");
         let live_line = diag("KL-D01", "b.rs", 5, "");
-        let stale = diag("KL-R03", "gone.rs", 9, "core::deleted");
+        let stale = diag("KL-R01", "gone.rs", 9, "core::deleted");
         let doc = render(&[live_sym.clone(), live_line.clone(), stale]);
         let entries = parse(&doc).expect("valid");
         assert_eq!(entries.len(), 3);
@@ -252,8 +252,8 @@ mod tests {
 
     #[test]
     fn render_is_sorted_and_deduplicated() {
-        let a = diag("KL-R03", "b.rs", 9, "core::b");
-        let b = diag("KL-R03", "a.rs", 1, "core::a");
+        let a = diag("KL-R01", "b.rs", 9, "core::b");
+        let b = diag("KL-R01", "a.rs", 1, "core::a");
         let doc1 = render(&[a.clone(), b.clone(), a.clone()]);
         let doc2 = render(&[b, a]);
         assert_eq!(doc1, doc2);

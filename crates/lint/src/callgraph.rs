@@ -21,32 +21,30 @@
 //! intended, and nothing in shipped code can call them.
 //!
 //! Panic **sites** seed the analysis per [`PanicKind`]:
-//! `panic!`/`unreachable!`/`todo!`/`unimplemented!` macros ([`PanicKind::Macro`]),
-//! `.unwrap()`/`.expect(…)` ([`PanicKind::Unwrap`]), and unchecked `x[i]`
-//! indexing ([`PanicKind::Index`], full-range `x[..]` exempt — it cannot be
-//! out of bounds). `assert!`-family macros are deliberately **not** sites:
-//! asserts state invariants, and flagging them would dilute the signal
-//! (documented under-approximation).
+//! `panic!`/`unreachable!`/`todo!`/`unimplemented!` macros ([`PanicKind::Macro`])
+//! and `.unwrap()`/`.expect(…)` ([`PanicKind::Unwrap`]). `assert!`-family
+//! macros are deliberately **not** sites: asserts state invariants, and
+//! flagging them would dilute the signal (documented under-approximation).
+//! Nor is `x[i]` indexing: nearly every numeric routine reaches one, and
+//! the Runner turns a bounds panic into an error record like any other.
 
 use crate::ast::{Expr, Item, ItemKind};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The kinds of panic site, in diagnostic-priority order: when a public
 /// function reaches several kinds, only the highest-priority one is
-/// reported (KL-R01 before KL-R02 before KL-R03).
+/// reported (KL-R01 before KL-R02).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PanicKind {
     /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
     Macro,
     /// `.unwrap()` / `.expect(…)`.
     Unwrap,
-    /// `x[i]` indexing (full-range `x[..]` exempt).
-    Index,
 }
 
 impl PanicKind {
     /// All kinds, in priority order.
-    pub const ALL: [PanicKind; 3] = [PanicKind::Macro, PanicKind::Unwrap, PanicKind::Index];
+    pub const ALL: [PanicKind; 2] = [PanicKind::Macro, PanicKind::Unwrap];
 }
 
 /// One concrete panic site inside a function body.
@@ -54,7 +52,7 @@ impl PanicKind {
 pub struct PanicSite {
     pub kind: PanicKind,
     pub line: u32,
-    /// Display form for diagnostics: `panic!`, `.unwrap()`, `indexing`…
+    /// Display form for diagnostics: `panic!`, `.unwrap()`…
     pub what: String,
 }
 
@@ -421,17 +419,6 @@ fn harvest_body(body: &Expr, node: &mut FnNode<'_>) {
                 });
             }
         }
-        Expr::Index { index, line, .. } => {
-            let full_range =
-                matches!(index.as_ref(), Expr::Range { operands, .. } if operands.is_empty());
-            if !full_range {
-                node.sites.push(PanicSite {
-                    kind: PanicKind::Index,
-                    line: *line,
-                    what: "indexing".into(),
-                });
-            }
-        }
         _ => {}
     });
 }
@@ -519,10 +506,10 @@ mod tests {
             (
                 "crates/mem/src/solver.rs",
                 "mem",
-                "pub fn solve() { let xs = [1u32]; let _ = xs[2]; }",
+                "pub fn solve() { let xs: Vec<u32> = Vec::new(); xs.first().unwrap(); }",
             ),
         ]);
-        let dist = g.distances(PanicKind::Index);
+        let dist = g.distances(PanicKind::Unwrap);
         assert_eq!(dist[idx(&g, "solve")], Some(0));
         assert_eq!(dist[idx(&g, "tick")], Some(1));
     }
@@ -538,19 +525,6 @@ mod tests {
         )]);
         assert_eq!(g.fns.len(), 1);
         assert_eq!(g.distances(PanicKind::Unwrap)[idx(&g, "clean")], None);
-    }
-
-    #[test]
-    fn full_range_index_is_not_a_site() {
-        let g = graph(&[(
-            "crates/core/src/e.rs",
-            "core",
-            "pub fn safe(xs: &[u8]) -> &[u8] { &xs[..] }\n\
-             pub fn risky(xs: &[u8]) -> &[u8] { &xs[1..] }",
-        )]);
-        let dist = g.distances(PanicKind::Index);
-        assert_eq!(dist[idx(&g, "safe")], None);
-        assert_eq!(dist[idx(&g, "risky")], Some(0));
     }
 
     #[test]

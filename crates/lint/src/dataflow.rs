@@ -781,8 +781,8 @@ impl Eval<'_, '_> {
 }
 
 /// Peels single-child wrappers (`*x`, parens) so assignment targets and
-/// spines see through unary operators. (Shared with [`crate::concurrency`].)
-pub(crate) fn peel(mut e: &Expr) -> &Expr {
+/// spines see through unary operators.
+fn peel(mut e: &Expr) -> &Expr {
     while let Expr::Many { children, .. } = e {
         match children.as_slice() {
             [only] => e = only,
@@ -793,9 +793,8 @@ pub(crate) fn peel(mut e: &Expr) -> &Expr {
 }
 
 /// The root variable of an lvalue/receiver spine (`a.b[i].c` → `a`), if it
-/// is a simple identifier (including `self`). (Shared with
-/// [`crate::concurrency`].)
-pub(crate) fn root_var(e: &Expr) -> Option<&str> {
+/// is a simple identifier (including `self`).
+fn root_var(e: &Expr) -> Option<&str> {
     match peel(e) {
         Expr::Path { segments, .. } => match segments.as_slice() {
             [name] => Some(name.as_str()),

@@ -8,11 +8,15 @@
 //!    that (rules KL-D01…KL-D04).
 //! 2. **Panic-safety** — the Runner's `catch_unwind` containment must be a
 //!    last resort, so library crates may not use `unwrap`/`expect`/`panic!`
-//!    as control flow (rules KL-P01…KL-P03).
+//!    as control flow (rules KL-P01…KL-P03), and a public function should
+//!    not reach a panic macro or an unwrap through its callees (KL-R01,
+//!    KL-R02).
 //!
-//! Plus hygiene checks (KL-H01…KL-H05). See [`rules`] for the full catalog
-//! and the inline `// kelp-lint: allow(<rule>): <justification>` suppression
-//! syntax. The lexer is hand-rolled (no `syn`, consistent with the vendored
+//! Plus float determinism (KL-F), serde schema drift against the goldens
+//! (KL-S), nondeterminism-taint dataflow (KL-T), and hygiene checks
+//! (KL-H01…KL-H05). See [`rules`] for the full catalog and the inline
+//! `// kelp-lint: allow(<rule>): <justification>` suppression syntax. The
+//! lexer is hand-rolled (no `syn`, consistent with the vendored
 //! no-registry constraint) and is total on arbitrary input.
 
 #![forbid(unsafe_code)]
@@ -20,7 +24,6 @@
 pub mod ast;
 pub mod baseline;
 pub mod callgraph;
-pub mod concurrency;
 pub mod dataflow;
 pub mod jsonmini;
 pub mod lexer;
@@ -33,9 +36,8 @@ pub mod scan;
 pub use rules::{lint_source, Diagnostic, FileCtx};
 
 /// The crate label a workspace-relative path belongs to (`crates/mem/…` →
-/// `mem`; top-level `src/` → `root`). Used for call-graph name resolution
-/// and for synthesizing type-level symbols in [`concurrency`].
-pub(crate) fn crate_label(path: &str) -> &str {
+/// `mem`; top-level `src/` → `root`). Used for call-graph name resolution.
+fn crate_label(path: &str) -> &str {
     let mut parts = path.split('/');
     if parts.next() == Some("crates") {
         parts.next().unwrap_or("root")
@@ -47,11 +49,9 @@ pub(crate) fn crate_label(path: &str) -> &str {
 /// Lints every classifiable file under `root`: the per-file rules plus the
 /// workspace passes (KL-R panic reachability over the call graph, KL-S
 /// schema drift against `results/*.json`, KL-T interprocedural
-/// nondeterminism-taint dataflow, KL-X whole-program concurrency
-/// protocols).
-/// Returns the diagnostics in a
-/// total order — (file, line, rule, symbol, message) — and the number of
-/// files scanned.
+/// nondeterminism-taint dataflow). Returns the diagnostics in a total
+/// order — (file, line, rule, symbol, message) — and the number of files
+/// scanned.
 pub fn lint_workspace(root: &std::path::Path) -> (Vec<Diagnostic>, usize) {
     let files = scan::workspace_files(root);
     let mut analyses = Vec::new();
@@ -92,11 +92,7 @@ pub fn lint_workspace(root: &std::path::Path) -> (Vec<Diagnostic>, usize) {
     // (KL-T).
     workspace_diags.extend(dataflow::taint_pass(&graph, &types));
 
-    // Workspace pass 4: concurrency protocols — channel rendezvous, lock
-    // ordering, Relaxed discipline, join contracts (KL-X01…X04).
-    workspace_diags.extend(concurrency::protocol_pass(&graph, &types));
-
-    // A witness-chain diagnostic (KL-T/KL-X) is suppressed by an inline
+    // A witness-chain diagnostic (KL-T) is suppressed by an inline
     // allow at ANY step of its chain — in particular at the taint source,
     // so one documented allow at an intentional nondeterminism root covers
     // every sink it feeds.

@@ -28,7 +28,9 @@ pub fn human(diags: &[Diagnostic], files_scanned: usize) -> String {
 /// per-diagnostic `witness` array (source→…→sink provenance for the KL-T
 /// taint-flow family; empty for other rules); 4 added the KL-X
 /// concurrency-protocol family (same shape — new `rule` values only,
-/// witness chains populated like KL-T).
+/// witness chains populated like KL-T). Deleting KL-X and the KL-R
+/// indexing rule later removed `rule` values only; the document shape did
+/// not change, so the version stays 4.
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// Renders diagnostics as a byte-stable JSON document:

@@ -30,7 +30,6 @@
 //! | KL-H05 | hygiene      | `kelp-lint: allow` that suppresses nothing |
 //! | KL-R01 | panic-reach  | public panic-scope fn transitively reaches `panic!`/`unreachable!`/`todo!`/`unimplemented!` (witness chain in the message) |
 //! | KL-R02 | panic-reach  | public panic-scope fn transitively reaches `.unwrap()`/`.expect(…)` |
-//! | KL-R03 | panic-reach  | public panic-scope fn transitively reaches unchecked `x[i]` indexing (`x[..]` exempt) |
 //! | KL-F01 | float-det    | `partial_cmp(…).unwrap()` — panics on NaN; use `total_cmp` (applies in tests too) |
 //! | KL-F02 | float-det    | `as f32` narrowing in non-test code (accumulate and report in f64) |
 //! | KL-F03 | float-det    | float reduction over hash-ordered iteration (operand order nondeterministic) |
@@ -39,13 +38,9 @@
 //! | KL-T01 | taint-flow   | nondeterminism taint (clock/rand/env/hash-order/jobs) flows into a serde-serialized `RunRecord`/`ExperimentResult`-reachable field (witness chain in the message) |
 //! | KL-T02 | taint-flow   | nondeterminism taint flows into a results writer (`fs::write` content argument) |
 //! | KL-T03 | taint-flow   | nondeterminism taint flows into cache-key computation (`fnv1a64`, `.hash(…)`) |
-//! | KL-X01 | concurrency  | cross-thread channel results consumed without an index-keyed or sort rendezvous |
-//! | KL-X02 | concurrency  | interprocedural lock-order cycle over held `Mutex` guards, or re-acquisition of a held (non-reentrant) lock |
-//! | KL-X03 | concurrency  | `Ordering::Relaxed` value escapes opaque work-partitioning inside a spawned or scoped worker (order-sensitive fold, struct field, accumulator) |
-//! | KL-X04 | concurrency  | `thread::spawn` handle discarded, or a `JoinHandle`-holding pool struct whose `Drop` never reaches `.join()` |
 //!
-//! The KL-R/KL-S/KL-T/KL-X families need the whole workspace (call
-//! graph, goldens, dataflow summaries) and only fire from
+//! The KL-R/KL-S/KL-T families need the whole workspace (call graph,
+//! goldens, dataflow summaries) and only fire from
 //! [`crate::lint_workspace`]; the rest, including KL-F, also fire from the
 //! single-file [`lint_source`] entry point.
 
@@ -69,7 +64,7 @@ pub struct FileCtx {
     pub time_allowlisted: bool,
 }
 
-/// One step of a source→…→sink witness chain (KL-T/KL-X): a short display
+/// One step of a source→…→sink witness chain (KL-T): a short display
 /// form plus the location it happened at. The `--json` report renders the
 /// chain as a structured array; the human message joins the `what`s.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +76,7 @@ pub struct WitnessStep {
 
 /// One finding: a stable rule ID, a location, a stable symbol path (for
 /// line-drift-robust baseline matching; empty for token-level rules), a
-/// human message, and — for the dataflow families — a witness chain.
+/// human message, and — for the taint-flow family — a witness chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     pub rule: &'static str,
@@ -89,15 +84,15 @@ pub struct Diagnostic {
     pub line: u32,
     pub symbol: String,
     pub message: String,
-    /// Source→…→sink provenance for KL-T/KL-X; empty for other families.
+    /// Source→…→sink provenance for KL-T; empty for other families.
     pub witness: Vec<WitnessStep>,
 }
 
 /// Every rule ID the engine can emit, in catalog order.
-pub const ALL_RULES: [&str; 27] = [
+pub const ALL_RULES: [&str; 22] = [
     "KL-D01", "KL-D02", "KL-D03", "KL-D04", "KL-P01", "KL-P02", "KL-P03", "KL-H01", "KL-H02",
-    "KL-H03", "KL-H04", "KL-H05", "KL-R01", "KL-R02", "KL-R03", "KL-F01", "KL-F02", "KL-F03",
-    "KL-S01", "KL-S02", "KL-T01", "KL-T02", "KL-T03", "KL-X01", "KL-X02", "KL-X03", "KL-X04",
+    "KL-H03", "KL-H04", "KL-H05", "KL-R01", "KL-R02", "KL-F01", "KL-F02", "KL-F03", "KL-S01",
+    "KL-S02", "KL-T01", "KL-T02", "KL-T03",
 ];
 
 /// An inline suppression parsed from a comment.

@@ -1,10 +1,10 @@
 //! The v2 (AST-level) rule families.
 //!
-//! * **KL-R01…R03 — panic reachability** (workspace pass): every *public*
+//! * **KL-R01…R02 — panic reachability** (workspace pass): every *public*
 //!   function of a panic-scope crate that can transitively reach a panic
 //!   site through the [`crate::callgraph`] is reported once, with the
 //!   shortest witness call chain in the message. One diagnostic per
-//!   function, highest-severity kind wins (macro > unwrap > indexing).
+//!   function, highest-severity kind wins (macro > unwrap).
 //! * **KL-F01…F03 — float determinism** (per-file pass): NaN-unsafe
 //!   orderings, lossy `f32` narrowing, and float reductions fed by
 //!   hash-ordered iteration.
@@ -38,7 +38,6 @@ pub fn panic_reachability(graph: &CallGraph) -> Vec<Diagnostic> {
             let rule = match kind {
                 PanicKind::Macro => "KL-R01",
                 PanicKind::Unwrap => "KL-R02",
-                PanicKind::Index => "KL-R03",
             };
             (kind, rule, graph.distances(kind))
         })

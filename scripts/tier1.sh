@@ -22,9 +22,8 @@ echo "== kelp-lint --deny --baseline lint-baseline.json =="
 # Static analysis (crates/lint): token-level determinism / panic-safety /
 # hygiene rules plus the v2 AST passes (KL-R panic reachability over the
 # workspace call graph, KL-F float determinism, KL-S serde schema drift
-# against results/*.json), the v3 dataflow pass (KL-T nondeterminism
-# taint), and the v4 concurrency-protocol pass (KL-X channel rendezvous /
-# lock ordering / Relaxed discipline / join contracts). Accepted pre-existing findings are pinned in
+# against results/*.json), and the v3 dataflow pass (KL-T nondeterminism
+# taint). Accepted pre-existing findings are pinned in
 # lint-baseline.json (regenerate with --write-baseline); any NEW finding
 # not covered by a justified inline allow fails the gate. Under --deny a
 # STALE pin (an entry matching nothing) is also a hard failure, not a
