@@ -10,18 +10,15 @@
 //! quorum (holding at least 11 of the 12 band cells — see
 //! `kelp::experiments::fleet_faults`).
 //!
-//! `--quick` (or `KELP_QUICK=1`) shrinks the fleet for smoke testing.
+//! `--quick` shrinks the fleet for smoke testing.
 
 use kelp::experiments::fleet_faults::{run_fleet_faults, FleetFaultsConfig, FleetFaultsResult};
 use kelp::report::write_json;
 use serde::Serialize;
-use std::time::Instant;
 
-/// The benchmark artifact: the matrix plus the harness wall time.
+/// The benchmark artifact: the matrix plus its band verdicts.
 #[derive(Debug, Clone, Serialize)]
 struct FleetFaultsReport {
-    host_cpus: usize,
-    wall_s: f64,
     bands_held: usize,
     bands_total: usize,
     holds: bool,
@@ -31,11 +28,7 @@ struct FleetFaultsReport {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    // kelp-lint: allow(KL-T01): KELP_QUICK/--quick is the documented smoke-scale knob; it sizes the fleet, and scale-dependent stats are the measurement itself.
-    let quick = args.iter().any(|a| a == "--quick")
-        || std::env::var("KELP_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let quick = args.iter().any(|a| a == "--quick");
 
     let mut config = if quick {
         FleetFaultsConfig::quick()
@@ -62,24 +55,19 @@ fn main() {
         config.jobs = j;
     }
 
-    let start = Instant::now();
     let matrix = run_fleet_faults(&config);
-    let wall_s = start.elapsed().as_secs_f64();
 
     println!("{}", matrix.table().render());
     println!(
-        "bands held: {}/{}  ({} machines, {} ticks, jobs={}, {:.3}s)",
+        "bands held: {}/{}  ({} machines, {} ticks, jobs={})",
         matrix.bands_held(),
         matrix.bands_total(),
         config.machines,
         config.ticks,
         config.jobs,
-        wall_s,
     );
 
     let report = FleetFaultsReport {
-        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        wall_s,
         bands_held: matrix.bands_held(),
         bands_total: matrix.bands_total(),
         holds: matrix.holds(),

@@ -4,19 +4,21 @@
 //! solver's cost model) and optimized (memoization + warm starts, the
 //! default), through the same experiment driver.
 //!
-//! Prints a per-workload comparison and writes
-//! `results/bench_solver_hot.json` with steps/sec and total fixed-point
-//! evaluations for both modes. Exits nonzero when the optimized timeline
-//! run records zero memo hits (the steady-state memo is broken) or, with
-//! `--strict`, when the optimized path is neither >= 2x steps/sec nor
-//! >= 3x fewer evaluations overall.
+//! Always runs at `ExperimentConfig::quick()`: the memo-off runs dominate,
+//! and quick scale still walks the solver's fallback ladder
+//! (non-converged solves, rescues, safe states). Prints a per-workload
+//! comparison and writes `results/bench_solver_hot.json` with the solve
+//! counters of both modes. Exits nonzero when the optimized timeline run
+//! records zero memo hits (the steady-state memo is broken) or, with
+//! `--strict`, when the optimized path does not need >= 3x fewer
+//! evaluations overall.
 
+use kelp::driver::ExperimentConfig;
 use kelp::experiments::{overall, timeline};
 use kelp::report::write_json;
 use kelp::runner::RunSpec;
 use kelp_mem::solver::{SolveStats, SolverTuning};
 use serde::Serialize;
-use std::time::Instant;
 
 /// One (workload, tuning mode) measurement.
 #[derive(Debug, Clone, Serialize)]
@@ -25,8 +27,6 @@ struct ModeResult {
     mode: String,
     runs: usize,
     sim_steps: u64,
-    wall_s: f64,
-    steps_per_sec: f64,
     stats: SolveStats,
 }
 
@@ -34,7 +34,6 @@ struct ModeResult {
 #[derive(Debug, Clone, Serialize)]
 struct SolverHotReport {
     modes: Vec<ModeResult>,
-    speedup_steps_per_sec: f64,
     evaluation_ratio: f64,
     timeline_memo_hits: u64,
 }
@@ -43,7 +42,6 @@ struct SolverHotReport {
 fn run_workload(workload: &str, mode: &str, specs: &[RunSpec], tuning: SolverTuning) -> ModeResult {
     let mut stats = SolveStats::default();
     let mut sim_steps = 0u64;
-    let start = Instant::now();
     for spec in specs {
         match spec.build() {
             Ok(builder) => {
@@ -58,24 +56,17 @@ fn run_workload(workload: &str, mode: &str, specs: &[RunSpec], tuning: SolverTun
             }
         }
     }
-    let wall_s = start.elapsed().as_secs_f64();
     ModeResult {
         workload: workload.to_string(),
         mode: mode.to_string(),
         runs: specs.len(),
         sim_steps,
-        wall_s,
-        steps_per_sec: if wall_s > 0.0 {
-            sim_steps as f64 / wall_s
-        } else {
-            0.0
-        },
         stats,
     }
 }
 
 fn main() {
-    let config = kelp_bench::config_from_args();
+    let config = ExperimentConfig::quick();
     let strict = std::env::args().any(|a| a == "--strict");
 
     let workloads: Vec<(&str, Vec<RunSpec>)> = vec![
@@ -91,44 +82,22 @@ fn main() {
         ] {
             let r = run_workload(name, mode, specs, tuning);
             println!(
-                "{name:<8} {mode:<9} {} runs  {:>8} steps  {:>7.2}s  {:>9.0} steps/s  {} evals  {} memo  {} warm",
-                r.runs,
-                r.sim_steps,
-                r.wall_s,
-                r.steps_per_sec,
-                r.stats.evaluations,
-                r.stats.memo_hits,
-                r.stats.warm_hits,
+                "{name:<8} {mode:<9} {} runs  {:>8} steps  {} evals  {} memo  {} warm",
+                r.runs, r.sim_steps, r.stats.evaluations, r.stats.memo_hits, r.stats.warm_hits,
             );
             modes.push(r);
         }
     }
 
-    let total = |mode: &str, f: &dyn Fn(&ModeResult) -> f64| -> f64 {
-        modes.iter().filter(|m| m.mode == mode).map(f).sum()
+    let evaluations = |mode: &str| -> f64 {
+        modes
+            .iter()
+            .filter(|m| m.mode == mode)
+            .map(|m| m.stats.evaluations as f64)
+            .sum()
     };
-    let base_wall = total("baseline", &|m| m.wall_s);
-    let opt_wall = total("optimized", &|m| m.wall_s);
-    let base_steps = total("baseline", &|m| m.sim_steps as f64);
-    let opt_steps = total("optimized", &|m| m.sim_steps as f64);
-    let base_evals = total("baseline", &|m| m.stats.evaluations as f64);
-    let opt_evals = total("optimized", &|m| m.stats.evaluations as f64);
-
-    let base_sps = if base_wall > 0.0 {
-        base_steps / base_wall
-    } else {
-        0.0
-    };
-    let opt_sps = if opt_wall > 0.0 {
-        opt_steps / opt_wall
-    } else {
-        0.0
-    };
-    let speedup = if base_sps > 0.0 {
-        opt_sps / base_sps
-    } else {
-        0.0
-    };
+    let base_evals = evaluations("baseline");
+    let opt_evals = evaluations("optimized");
     let evaluation_ratio = if opt_evals > 0.0 {
         base_evals / opt_evals
     } else {
@@ -141,12 +110,11 @@ fn main() {
         .sum();
 
     println!(
-        "\noverall: {speedup:.2}x steps/sec ({base_sps:.0} -> {opt_sps:.0}), {evaluation_ratio:.2}x fewer evaluations ({base_evals:.0} -> {opt_evals:.0})"
+        "\noverall: {evaluation_ratio:.2}x fewer evaluations ({base_evals:.0} -> {opt_evals:.0})"
     );
 
     let report = SolverHotReport {
         modes,
-        speedup_steps_per_sec: speedup,
         evaluation_ratio,
         timeline_memo_hits,
     };
@@ -156,9 +124,9 @@ fn main() {
         eprintln!("FAIL: optimized timeline run recorded zero memo hits");
         std::process::exit(1);
     }
-    if strict && speedup < 2.0 && evaluation_ratio < 3.0 {
+    if strict && evaluation_ratio < 3.0 {
         eprintln!(
-            "FAIL: optimized path is neither 2x steps/sec ({speedup:.2}x) nor 3x fewer evaluations ({evaluation_ratio:.2}x)"
+            "FAIL: optimized path needs only {evaluation_ratio:.2}x fewer evaluations, need >= 3x"
         );
         std::process::exit(3);
     }

@@ -49,9 +49,9 @@ pub fn config_from(args: &[String]) -> ExperimentConfig {
 }
 
 /// Directory where `repro_all` and the figure binaries drop JSON results.
-/// `KELP_RESULTS_DIR` overrides the default `results/` so smoke runs (e.g.
-/// the tier-1 fault-matrix gate) can write somewhere disposable instead of
-/// clobbering the checked-in default-config artifacts.
+/// `KELP_RESULTS_DIR` overrides the default `results/` so smoke runs and
+/// the tier-1 regenerate-and-diff step can write somewhere disposable
+/// instead of clobbering the checked-in default-config artifacts.
 pub fn results_dir() -> std::path::PathBuf {
     // kelp-lint: allow(KL-D04): KELP_RESULTS_DIR only redirects output paths; file contents are unaffected.
     std::env::var_os("KELP_RESULTS_DIR")

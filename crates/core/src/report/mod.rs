@@ -106,7 +106,6 @@ pub fn write_json<T: Serialize>(
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
-    // kelp-lint: allow(KL-T02): results documents deliberately carry wall-clock and host telemetry; payload determinism is enforced at the schema surface by KL-T01.
     std::fs::write(&path, json)?;
     Ok(path)
 }

@@ -19,9 +19,9 @@
 //!   engine iterates to a fixed point over the call graph. Everything is
 //!   additive, so the fixed point exists and is reached monotonically.
 //! * **Sinks** — serde-serialized fields of structs reachable from
-//!   `RunRecord`/`ExperimentResult` (KL-T01, the same reachability set the
-//!   KL-S schema pass chases), `fs::write` content arguments (KL-T02), and
-//!   cache-key computation — `fnv1a64(…)` / `.hash(…)` (KL-T03).
+//!   `RunRecord`/`ExperimentResult` (KL-T01), `fs::write` content
+//!   arguments (KL-T02), and cache-key computation — `fnv1a64(…)` /
+//!   `.hash(…)` (KL-T03).
 //!
 //! Deliberate precision choices (all documented over-approximations or
 //! sanitizers, mirroring the codebase's rendezvous idioms):
@@ -163,8 +163,8 @@ pub struct SinkConfig {
 }
 
 impl SinkConfig {
-    /// Chases type reachability from the schema roots (same BFS as the KL-S
-    /// pass) and keeps the serde-derived named structs.
+    /// Chases type reachability from the schema roots and keeps the
+    /// serde-derived named structs.
     pub fn build(types: &[TypeDef]) -> SinkConfig {
         let mut by_name: BTreeMap<&str, Vec<&TypeDef>> = BTreeMap::new();
         for t in types {

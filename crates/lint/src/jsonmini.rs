@@ -1,13 +1,12 @@
-//! A minimal, total JSON reader for the lint's own inputs: the checked-in
-//! `results/*.json` goldens (KL-S schema cross-check) and the
+//! A minimal, total JSON reader for the lint's own input, the
 //! `lint-baseline.json` pin file.
 //!
 //! Hand-rolled for the same reason as the lexer and parser: the lint must
 //! never depend on the workspace's vendored serde shims — the code it
 //! checks — nor on any external crate. The reader is tolerant (returns
 //! `None` rather than panicking on malformed input), preserves object key
-//! order, and parses numbers as `f64` (golden keys and baseline fields are
-//! all the lint actually consumes).
+//! order, and parses numbers as `f64` (baseline fields are all the lint
+//! actually consumes).
 
 /// A parsed JSON value. Object keys keep their document order.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +63,8 @@ impl Value {
     }
 }
 
-/// Nesting cap: goldens are shallow; anything deeper is malformed input and
-/// parses to `None` instead of risking stack exhaustion.
+/// Nesting cap: the baseline is shallow; anything deeper is malformed input
+/// and parses to `None` instead of risking stack exhaustion.
 const MAX_DEPTH: u32 = 64;
 
 /// Parses a JSON document. `None` on any syntax error or trailing garbage.

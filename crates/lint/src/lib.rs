@@ -12,12 +12,11 @@
 //!    not reach a panic macro or an unwrap through its callees (KL-R01,
 //!    KL-R02).
 //!
-//! Plus float determinism (KL-F), serde schema drift against the goldens
-//! (KL-S), nondeterminism-taint dataflow (KL-T), and hygiene checks
-//! (KL-H01…KL-H05). See [`rules`] for the full catalog and the inline
-//! `// kelp-lint: allow(<rule>): <justification>` suppression syntax. The
-//! lexer is hand-rolled (no `syn`, consistent with the vendored
-//! no-registry constraint) and is total on arbitrary input.
+//! Plus float determinism (KL-F), nondeterminism-taint dataflow (KL-T),
+//! and hygiene checks (KL-H01…KL-H05). See [`rules`] for the full catalog
+//! and the inline `// kelp-lint: allow(<rule>): <justification>`
+//! suppression syntax. The lexer is hand-rolled (no `syn`, consistent with
+//! the vendored no-registry constraint) and is total on arbitrary input.
 
 #![forbid(unsafe_code)]
 
@@ -47,11 +46,10 @@ fn crate_label(path: &str) -> &str {
 }
 
 /// Lints every classifiable file under `root`: the per-file rules plus the
-/// workspace passes (KL-R panic reachability over the call graph, KL-S
-/// schema drift against `results/*.json`, KL-T interprocedural
-/// nondeterminism-taint dataflow). Returns the diagnostics in a total
-/// order — (file, line, rule, symbol, message) — and the number of files
-/// scanned.
+/// workspace passes (KL-R panic reachability over the call graph, KL-T
+/// interprocedural nondeterminism-taint dataflow). Returns the diagnostics
+/// in a total order — (file, line, rule, symbol, message) — and the number
+/// of files scanned.
 pub fn lint_workspace(root: &std::path::Path) -> (Vec<Diagnostic>, usize) {
     let files = scan::workspace_files(root);
     let mut analyses = Vec::new();
@@ -80,16 +78,12 @@ pub fn lint_workspace(root: &std::path::Path) -> (Vec<Diagnostic>, usize) {
     drop(units);
     let mut workspace_diags = rules_v2::panic_reachability(&graph);
 
-    // Workspace pass 2: serde schema drift against the goldens.
+    // Workspace pass 2: interprocedural nondeterminism-taint dataflow
+    // (KL-T), with the serialized types as its sinks.
     let mut types = Vec::new();
     for fa in &analyses {
         rules_v2::collect_types(&fa.ctx, &fa.items, &mut types);
     }
-    let goldens = rules_v2::load_goldens(root);
-    workspace_diags.extend(rules_v2::schema_rules(&types, &goldens));
-
-    // Workspace pass 3: interprocedural nondeterminism-taint dataflow
-    // (KL-T).
     workspace_diags.extend(dataflow::taint_pass(&graph, &types));
 
     // A witness-chain diagnostic (KL-T) is suppressed by an inline

@@ -33,16 +33,14 @@
 //! | KL-F01 | float-det    | `partial_cmp(…).unwrap()` — panics on NaN; use `total_cmp` (applies in tests too) |
 //! | KL-F02 | float-det    | `as f32` narrowing in non-test code (accumulate and report in f64) |
 //! | KL-F03 | float-det    | float reduction over hash-ordered iteration (operand order nondeterministic) |
-//! | KL-S01 | schema-drift | serialized field of a `RunRecord`/`ExperimentResult`-reachable struct absent from every `results/*.json` golden |
-//! | KL-S02 | schema-drift | golden object holds keys its best-matching reachable struct no longer produces |
 //! | KL-T01 | taint-flow   | nondeterminism taint (clock/rand/env/hash-order/jobs) flows into a serde-serialized `RunRecord`/`ExperimentResult`-reachable field (witness chain in the message) |
 //! | KL-T02 | taint-flow   | nondeterminism taint flows into a results writer (`fs::write` content argument) |
 //! | KL-T03 | taint-flow   | nondeterminism taint flows into cache-key computation (`fnv1a64`, `.hash(…)`) |
 //!
-//! The KL-R/KL-S/KL-T families need the whole workspace (call graph,
-//! goldens, dataflow summaries) and only fire from
-//! [`crate::lint_workspace`]; the rest, including KL-F, also fire from the
-//! single-file [`lint_source`] entry point.
+//! The KL-R/KL-T families need the whole workspace (call graph, dataflow
+//! summaries) and only fire from [`crate::lint_workspace`]; the rest,
+//! including KL-F, also fire from the single-file [`lint_source`] entry
+//! point.
 
 use crate::ast::Item;
 use crate::lexer::{lex, Comment, Tok, Token};
@@ -89,10 +87,10 @@ pub struct Diagnostic {
 }
 
 /// Every rule ID the engine can emit, in catalog order.
-pub const ALL_RULES: [&str; 22] = [
+pub const ALL_RULES: [&str; 20] = [
     "KL-D01", "KL-D02", "KL-D03", "KL-D04", "KL-P01", "KL-P02", "KL-P03", "KL-H01", "KL-H02",
-    "KL-H03", "KL-H04", "KL-H05", "KL-R01", "KL-R02", "KL-F01", "KL-F02", "KL-F03", "KL-S01",
-    "KL-S02", "KL-T01", "KL-T02", "KL-T03",
+    "KL-H03", "KL-H04", "KL-H05", "KL-R01", "KL-R02", "KL-F01", "KL-F02", "KL-F03", "KL-T01",
+    "KL-T02", "KL-T03",
 ];
 
 /// An inline suppression parsed from a comment.
@@ -105,7 +103,7 @@ struct Allow {
 /// One file's lint state before suppressions are applied: the pre-allow
 /// diagnostics, the parsed AST (for the workspace passes), and the pending
 /// allows. [`crate::lint_workspace`] appends workspace-level findings
-/// (KL-R, KL-S) to `diags` before calling [`finish`], so a single inline
+/// (KL-R, KL-T) to `diags` before calling [`finish`], so a single inline
 /// allow mechanism covers every rule family.
 pub struct FileAnalysis {
     pub ctx: FileCtx,
@@ -212,8 +210,8 @@ pub fn finish(analysis: FileAnalysis) -> Vec<Diagnostic> {
 }
 
 /// Lints one source file under the given context: every per-file rule with
-/// suppressions applied. The workspace-wide families (KL-R, KL-S) need the
-/// call graph and goldens and only fire from [`crate::lint_workspace`].
+/// suppressions applied. The workspace-wide families (KL-R, KL-T) need the
+/// call graph and only fire from [`crate::lint_workspace`].
 pub fn lint_source(ctx: &FileCtx, src: &str) -> Vec<Diagnostic> {
     finish(collect_file(ctx, src))
 }

@@ -8,21 +8,16 @@
 //! * **KL-F01…F03 — float determinism** (per-file pass): NaN-unsafe
 //!   orderings, lossy `f32` narrowing, and float reductions fed by
 //!   hash-ordered iteration.
-//! * **KL-S01…S02 — serde schema drift** (workspace pass): serialized
-//!   structs reachable from `RunRecord`/`ExperimentResult` are cross-checked
-//!   against the keys actually present in the checked-in `results/*.json`
-//!   goldens, in both directions.
+//!
+//! It also collects the workspace's type definitions ([`collect_types`]),
+//! from which the KL-T pass builds its serialized sink set.
 
 use crate::ast::{Expr, Item, ItemKind};
 use crate::callgraph::{CallGraph, PanicKind};
-use crate::jsonmini::{self, Value};
 use crate::rules::{Diagnostic, FileCtx};
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
-/// Serialization roots for the schema-drift pass (and the KL-T01 serialized
-/// sink set): the cache record every run persists, and the per-experiment
-/// aggregate.
+/// Serialization roots of the KL-T01 serialized sink set: the cache record
+/// every run persists, and the per-experiment aggregate.
 pub(crate) const SCHEMA_ROOTS: [&str; 2] = ["RunRecord", "ExperimentResult"];
 
 // ---------------------------------------------------------------------------
@@ -217,10 +212,10 @@ fn walk_fns<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// KL-S: serde schema drift
+// Type definitions (the KL-T sink set)
 // ---------------------------------------------------------------------------
 
-/// A type definition collected for the schema pass.
+/// A type definition collected for the KL-T serialized sink set.
 pub struct TypeDef {
     pub file: String,
     pub name: String,
@@ -231,7 +226,7 @@ pub struct TypeDef {
     pub payload_idents: Vec<String>,
     /// Carries `#[derive(Serialize)]` or `#[derive(Deserialize)]`.
     pub serde: bool,
-    /// A named-field struct (the shape KL-S01/S02 check).
+    /// A named-field struct (the shape whose fields are KL-T01 sinks).
     pub named_struct: bool,
 }
 
@@ -284,156 +279,6 @@ fn collect_types_inner(items: &[Item], in_test: bool, ctx: &FileCtx, out: &mut V
     }
 }
 
-/// Loads and parses every checked-in golden under `root/results/*.json`,
-/// sorted by file name for determinism. Unparseable files are skipped (the
-/// results pipeline owns their validity, not the lint).
-pub fn load_goldens(root: &Path) -> Vec<(String, Value)> {
-    let mut out = Vec::new();
-    let Ok(entries) = std::fs::read_dir(root.join("results")) else {
-        return out;
-    };
-    let mut paths: Vec<_> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json") && p.is_file())
-        .collect();
-    paths.sort();
-    for path in paths {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        if let Some(value) = jsonmini::parse(&text) {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            out.push((name, value));
-        }
-    }
-    out
-}
-
-/// Cross-checks serialized structs reachable from the schema roots against
-/// the goldens.
-///
-/// * **KL-S01**: a field of a reachable `#[derive(Serialize)]` struct whose
-///   name appears in **no** golden key — a rename or a never-serialized
-///   field the goldens cannot witness.
-/// * **KL-S02**: the golden object that best matches a reachable struct
-///   (≥ half its fields, minimum 2) carries keys the struct does not
-///   produce — a field was dropped or renamed after the golden was written.
-///
-/// With no goldens on disk the pass is silent (nothing to drift from).
-pub fn schema_rules(types: &[TypeDef], goldens: &[(String, Value)]) -> Vec<Diagnostic> {
-    if goldens.is_empty() {
-        return Vec::new();
-    }
-
-    // Name → definitions (duplicates possible across crates; all chased).
-    let mut by_name: BTreeMap<&str, Vec<&TypeDef>> = BTreeMap::new();
-    for t in types {
-        by_name.entry(t.name.as_str()).or_default().push(t);
-    }
-
-    // Type reachability from the roots, chasing field/payload identifiers.
-    let mut reachable: BTreeSet<&str> = BTreeSet::new();
-    let mut frontier: Vec<&str> = SCHEMA_ROOTS.to_vec();
-    while let Some(name) = frontier.pop() {
-        if !by_name.contains_key(name) || !reachable.insert(name) {
-            continue;
-        }
-        for def in &by_name[name] {
-            for (_, _, type_idents) in &def.fields {
-                for ident in type_idents {
-                    frontier.push(ident.as_str());
-                }
-            }
-            for ident in &def.payload_idents {
-                frontier.push(ident.as_str());
-            }
-        }
-    }
-
-    // Golden key universe and per-object key sets.
-    let mut all_keys: BTreeSet<&str> = BTreeSet::new();
-    let mut objects: Vec<(&str, BTreeSet<&str>)> = Vec::new();
-    for (file, value) in goldens {
-        value.walk(&mut |v| {
-            if let Value::Obj(pairs) = v {
-                let keys: BTreeSet<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-                all_keys.extend(keys.iter().copied());
-                objects.push((file.as_str(), keys));
-            }
-        });
-    }
-
-    let mut diags = Vec::new();
-    let mut checked: BTreeSet<(&str, &str)> = BTreeSet::new();
-    for name in &reachable {
-        for def in &by_name[name] {
-            if !def.serde || !def.named_struct {
-                continue;
-            }
-            // A name may be defined once per crate; check each definition
-            // at most once per file.
-            if !checked.insert((def.file.as_str(), def.name.as_str())) {
-                continue;
-            }
-            let field_names: BTreeSet<&str> =
-                def.fields.iter().map(|(n, _, _)| n.as_str()).collect();
-
-            // KL-S01: fields no golden has ever witnessed.
-            for (fname, fline, _) in &def.fields {
-                if !all_keys.contains(fname.as_str()) {
-                    diags.push(Diagnostic {
-                        rule: "KL-S01",
-                        file: def.file.clone(),
-                        line: *fline,
-                        symbol: format!("{}::{}", def.name, fname),
-                        message: format!(
-                            "serialized field `{}::{fname}` appears in no results/*.json \
-                             golden; regenerate goldens or justify",
-                            def.name
-                        ),
-                        witness: Vec::new(),
-                    });
-                }
-            }
-
-            // KL-S02: the best-matching golden object has extra keys.
-            let threshold = 2.max(field_names.len().div_ceil(2));
-            let best = objects
-                .iter()
-                .map(|(file, keys)| {
-                    let overlap = keys.intersection(&field_names).count();
-                    (overlap, *file, keys)
-                })
-                .max_by_key(|(overlap, file, _)| (*overlap, std::cmp::Reverse(*file)));
-            if let Some((overlap, gfile, keys)) = best {
-                if overlap >= threshold {
-                    let extra: Vec<&str> = keys.difference(&field_names).copied().collect();
-                    if !extra.is_empty() {
-                        diags.push(Diagnostic {
-                            rule: "KL-S02",
-                            file: def.file.clone(),
-                            line: def.line,
-                            symbol: def.name.clone(),
-                            message: format!(
-                                "golden {gfile} holds keys [{}] that `{}` no longer \
-                                 produces; regenerate goldens or justify",
-                                extra.join(", "),
-                                def.name
-                            ),
-                            witness: Vec::new(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    diags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,65 +326,5 @@ mod tests {
         assert!(got.contains(&("KL-F03", 1)), "{got:?}");
         // BTreeMap iteration is ordered: no KL-F03.
         assert!(floats("fn f(m: &BTreeMap<String, f64>) -> f64 { m.values().sum() }").is_empty());
-    }
-
-    fn types_of(srcs: &[(&str, &str)]) -> Vec<TypeDef> {
-        let mut out = Vec::new();
-        for (path, src) in srcs {
-            collect_types(&ctx(path), &parse_items(&lex(src)), &mut out);
-        }
-        out
-    }
-
-    const RECORD_SRC: &str = "#[derive(Serialize, Deserialize)]\npub struct RunRecord {\n    \
-                              pub ml_name: String,\n    pub meta: RunMeta,\n}\n\
-                              #[derive(Serialize, Deserialize)]\npub struct RunMeta {\n    \
-                              pub wall_ms: f64,\n    pub sim_steps: u64,\n}\n\
-                              #[derive(Serialize, Deserialize)]\npub struct Unrelated {\n    \
-                              pub zzz: u8,\n}";
-
-    fn golden(json: &str) -> Vec<(String, Value)> {
-        vec![("g.json".into(), jsonmini::parse(json).expect("valid"))]
-    }
-
-    #[test]
-    fn s01_fires_only_on_reachable_missing_fields() {
-        let types = types_of(&[("crates/core/src/runner.rs", RECORD_SRC)]);
-        let goldens =
-            golden("{\"ml_name\":\"x\",\"meta\":{\"wall_ms\":1.0,\"sim_steps\":2,\"extra\":0}}");
-        let diags = schema_rules(&types, &goldens);
-        // All reachable fields are witnessed; `Unrelated.zzz` is not
-        // reachable so its absence does not fire.
-        assert!(diags.iter().all(|d| d.rule != "KL-S01"), "{diags:?}");
-        // Rename `wall_ms` in the golden → the struct field is orphaned.
-        let goldens = golden("{\"ml_name\":\"x\",\"meta\":{\"wall\":1.0,\"sim_steps\":2}}");
-        let diags = schema_rules(&types, &goldens);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == "KL-S01" && d.symbol == "RunMeta::wall_ms"),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn s02_fires_when_golden_has_orphaned_keys() {
-        let types = types_of(&[("crates/core/src/runner.rs", RECORD_SRC)]);
-        let goldens = golden(
-            "{\"ml_name\":\"x\",\"meta\":{\"wall_ms\":1.0,\"sim_steps\":2,\"dropped_field\":9}}",
-        );
-        let diags = schema_rules(&types, &goldens);
-        assert!(
-            diags.iter().any(|d| d.rule == "KL-S02"
-                && d.symbol == "RunMeta"
-                && d.message.contains("dropped_field")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn no_goldens_means_no_schema_findings() {
-        let types = types_of(&[("crates/core/src/runner.rs", RECORD_SRC)]);
-        assert!(schema_rules(&types, &[]).is_empty());
     }
 }

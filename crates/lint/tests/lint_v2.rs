@@ -1,6 +1,6 @@
 //! v2 corpus: exact-output witness chains (KL-R), float-determinism lines
-//! (KL-F), serde schema drift against a golden pair (KL-S), parser totality
-//! fuzzing, and byte-stability of the workspace JSON report.
+//! (KL-F), parser totality fuzzing, and byte-stability of the workspace
+//! JSON report.
 //!
 //! Fixtures live under `crates/lint/fixtures/` (a `fixtures` path component
 //! keeps them out of `scan::classify`, so linting the workspace never trips
@@ -10,7 +10,7 @@ use kelp_lint::callgraph::{CallGraph, SourceUnit};
 use kelp_lint::lexer::lex;
 use kelp_lint::parse::parse_items;
 use kelp_lint::rules::{lint_source, FileCtx};
-use kelp_lint::{jsonmini, report, rules_v2};
+use kelp_lint::{report, rules_v2};
 use kelp_simcore::rng::SimRng;
 
 fn fixture(name: &str) -> String {
@@ -76,61 +76,6 @@ fn kl_f_exact_lines() {
         floats,
         vec![(6, "KL-F01"), (10, "KL-F02"), (14, "KL-F03")],
         "float rules drifted: {diags:?}"
-    );
-}
-
-fn schema_diags(src: &str, golden: &str) -> Vec<(u32, &'static str, String)> {
-    let mut types = Vec::new();
-    rules_v2::collect_types(
-        &ctx("crates/core/src/record.rs", true),
-        &parse_items(&lex(src)),
-        &mut types,
-    );
-    let goldens = vec![(
-        "results/golden.json".to_string(),
-        jsonmini::parse(golden).expect("golden fixture parses"),
-    )];
-    rules_v2::schema_rules(&types, &goldens)
-        .into_iter()
-        .map(|d| (d.line, d.rule, d.symbol))
-        .collect()
-}
-
-/// The checked-in fixture pair is drift-free, and only reachable structs are
-/// checked: `Unreferenced::never_serialized` never appears in the golden yet
-/// stays silent.
-#[test]
-fn kl_s_clean_pair_is_silent() {
-    let diags = schema_diags(&fixture("schema_record.rs"), &fixture("schema_golden.json"));
-    assert_eq!(diags, vec![], "clean schema pair produced findings");
-}
-
-/// Negative test (acceptance criterion): renaming a RunRecord-reachable
-/// field without regenerating the golden fails with KL-S01 at the field.
-#[test]
-fn kl_s01_renamed_field_fires() {
-    let src = fixture("schema_record.rs").replace("wall_ms", "wall_time_ms");
-    let diags = schema_diags(&src, &fixture("schema_golden.json"));
-    assert_eq!(
-        diags,
-        vec![(11, "KL-S01", "RunMeta::wall_time_ms".to_string())],
-        "renamed field not caught"
-    );
-}
-
-/// Mutating the golden side of the pair — a key the struct no longer carries
-/// — fails with KL-S02 on the best-matching struct.
-#[test]
-fn kl_s02_golden_drift_fires() {
-    let golden = fixture("schema_golden.json").replace(
-        "\"sim_steps\": 400",
-        "\"sim_steps\": 400,\n    \"retired_field\": 1",
-    );
-    let diags = schema_diags(&fixture("schema_record.rs"), &golden);
-    assert_eq!(
-        diags,
-        vec![(10, "KL-S02", "RunMeta".to_string())],
-        "golden drift not caught"
     );
 }
 

@@ -21,9 +21,8 @@ cargo fmt --check
 echo "== kelp-lint --deny --baseline lint-baseline.json =="
 # Static analysis (crates/lint): token-level determinism / panic-safety /
 # hygiene rules plus the v2 AST passes (KL-R panic reachability over the
-# workspace call graph, KL-F float determinism, KL-S serde schema drift
-# against results/*.json), and the v3 dataflow pass (KL-T nondeterminism
-# taint). Accepted pre-existing findings are pinned in
+# workspace call graph, KL-F float determinism), and the v3 dataflow pass
+# (KL-T nondeterminism taint). Accepted pre-existing findings are pinned in
 # lint-baseline.json (regenerate with --write-baseline); any NEW finding
 # not covered by a justified inline allow fails the gate. Under --deny a
 # STALE pin (an entry matching nothing) is also a hard failure, not a
@@ -60,45 +59,28 @@ echo "== solver identity tests =="
 # of this script section still gates the contract.
 cargo test -q --release --test solver_hot
 
-echo "== fault-matrix smoke (KELP_QUICK=1) =="
-# Any escaped panic, error record, or hardened band violation exits nonzero.
-# Results go to a throwaway dir so the smoke never clobbers the checked-in
-# default-config artifacts under results/.
-smoke_results="$(mktemp -d)"
-trap 'rm -rf "$smoke_results"' EXIT
-KELP_QUICK=1 KELP_RESULTS_DIR="$smoke_results" \
-  cargo run --release -q -p kelp-bench --bin ext_fault_matrix -- \
-  --quick --strict --no-cache >/dev/null
-
-echo "== solver hot-path smoke (KELP_QUICK=1) =="
-# Exits nonzero when the optimized timeline run records zero memo hits —
-# i.e. the steady-state memoization silently stopped working.
-KELP_QUICK=1 KELP_RESULTS_DIR="$smoke_results" \
-  cargo run --release -q -p kelp-bench --bin ext_solver_hot -- \
-  --quick >/dev/null
-
-echo "== fleet batch smoke (KELP_QUICK=1) =="
-# Exits nonzero when the batched runs record zero solved or zero converged
-# lanes — i.e. the batched SoA path silently fell back to scalar stepping
-# or the batch solver stopped converging.
-KELP_QUICK=1 KELP_RESULTS_DIR="$smoke_results" \
-  cargo run --release -q -p kelp-bench --bin ext_fleet_batch -- \
-  --quick >/dev/null
-
-echo "== fleet fault smoke (KELP_QUICK=1) =="
-# Exits nonzero when a fleet fault-matrix cell injects nothing or the
-# self-healing placer fails its acceptance quorum (>= 11 of 12 band cells
-# vs the static placer under identical machine-lifecycle fault schedules).
-KELP_QUICK=1 KELP_RESULTS_DIR="$smoke_results" \
-  cargo run --release -q -p kelp-bench --bin ext_fleet_faults -- \
-  --quick >/dev/null
-
-echo "== perf gate (perf-baseline.json) =="
-# Compares the checked-in benchmark artifacts (results/bench_*.json) against
-# the per-host wall-clock baselines in perf-baseline.json. Denies on a host
-# whose fingerprint has a recorded baseline, advisory elsewhere. Runs
-# WITHOUT KELP_RESULTS_DIR so it judges the committed artifacts, not the
-# smoke-run scratch output.
-cargo run --release -q -p kelp-bench --bin perf_gate
+echo "== regenerate results/ and diff =="
+# Every file under results/ is a pure function of the code. Regenerate all
+# of them into a temp dir (run cache included, so nothing is served from
+# results/cache/) and diff against the committed tree: a stale
+# golden, a renamed or dropped field, or a committed file that no generator
+# writes fails here. `set -e` keeps each generator's own exit check: error
+# records, KP-H's fault bands (--strict), the fleet placer's quorum, batch
+# lanes solved and converged, and the solver memo's hits and evaluation
+# ratio (--strict).
+regen_dir="$(mktemp -d)"
+trap 'rm -rf "$regen_dir"' EXIT
+regen() {
+  KELP_RESULTS_DIR="$regen_dir" cargo run --release -q -p kelp-bench --bin "$@" >/dev/null
+}
+regen repro_all -- --jobs 2
+regen scorecard -- --jobs 2
+regen fig03_timeline -- --jobs 2
+regen ext_tail_amplification -- --jobs 2
+regen ext_fault_matrix -- --jobs 2 --strict
+regen ext_fleet_batch
+regen ext_fleet_faults
+regen ext_solver_hot -- --strict
+diff -r --exclude=cache "$regen_dir" results
 
 echo "tier-1 OK"
