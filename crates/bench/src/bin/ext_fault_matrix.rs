@@ -9,7 +9,6 @@
 
 use kelp::experiments::faults::{self, MAX_REVERSALS_PER_10, ML_SLOWDOWN_BAND};
 use kelp::policy::PolicyKind;
-use kelp::report::write_json;
 
 fn main() {
     let config = kelp_bench::config_from_args();
@@ -47,7 +46,7 @@ fn main() {
         if in_band { "satisfies" } else { "LEAVES" }
     );
 
-    let _ = write_json(kelp_bench::results_dir(), "ext_fault_matrix", &matrix);
+    kelp_bench::save_json(kelp_bench::results_dir(), "ext_fault_matrix", &matrix);
 
     let errors = matrix.errors();
     for (cell, message) in &errors {

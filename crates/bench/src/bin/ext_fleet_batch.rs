@@ -10,7 +10,8 @@
 //!
 //! `--quick` shrinks the fleet for smoke testing.
 
-use kelp::report::write_json;
+use kelp_bench::cli::parse_flag;
+use kelp_bench::exit_on_usage_error;
 use kelp_workloads::{FleetSim, FleetSimConfig};
 use serde::Serialize;
 
@@ -34,19 +35,13 @@ fn main() {
     // machine, and early churn keeps producing never-seen phase combos)
     // amortize and the counters reflect steady-state fleet stepping.
     let (machines, default_ticks) = if quick { (64, 8) } else { (1000, 512) };
-    let arg_of = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let ticks: usize = arg_of("--ticks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_ticks);
+    // A malformed value is a usage error (exit 2), never the default.
+    let ticks: usize = exit_on_usage_error(parse_flag(&args, "--ticks")).unwrap_or(default_ticks);
     let mut config = FleetSimConfig {
         machines,
         ..FleetSimConfig::default()
     };
-    if let Some(churn) = arg_of("--churn").and_then(|v| v.parse().ok()) {
+    if let Some(churn) = exit_on_usage_error(parse_flag(&args, "--churn")) {
         config.churn_probability = churn;
     }
 
@@ -73,7 +68,7 @@ fn main() {
         lanes_solved: stats.lanes_solved,
         lanes_converged: stats.lanes_converged,
     };
-    let _ = write_json(kelp_bench::results_dir(), "bench_fleet_batch", &report);
+    kelp_bench::save_json(kelp_bench::results_dir(), "bench_fleet_batch", &report);
 
     if report.lanes_solved == 0 || report.lanes_converged == 0 {
         eprintln!(

@@ -13,7 +13,8 @@
 //! `--quick` shrinks the fleet for smoke testing.
 
 use kelp::experiments::fleet_faults::{run_fleet_faults, FleetFaultsConfig, FleetFaultsResult};
-use kelp::report::write_json;
+use kelp_bench::cli::{parse_flag, parse_jobs};
+use kelp_bench::exit_on_usage_error;
 use serde::Serialize;
 
 /// The benchmark artifact: the matrix plus its band verdicts.
@@ -40,19 +41,15 @@ fn main() {
             ..FleetFaultsConfig::default()
         }
     };
-    let arg_of = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    if let Some(m) = arg_of("--machines").and_then(|v| v.parse().ok()) {
+    // A malformed value is a usage error (exit 2), never the default.
+    if let Some(m) = exit_on_usage_error(parse_flag(&args, "--machines")) {
         config.machines = m;
     }
-    if let Some(t) = arg_of("--ticks").and_then(|v| v.parse().ok()) {
+    if let Some(t) = exit_on_usage_error(parse_flag(&args, "--ticks")) {
         config.ticks = t;
     }
-    if let Some(j) = arg_of("--jobs").and_then(|v| v.parse().ok()) {
-        config.jobs = j;
+    if args.iter().any(|a| a == "--jobs") {
+        config.jobs = exit_on_usage_error(parse_jobs(&args));
     }
 
     let matrix = run_fleet_faults(&config);
@@ -73,7 +70,7 @@ fn main() {
         holds: matrix.holds(),
         matrix,
     };
-    let _ = write_json(kelp_bench::results_dir(), "bench_fleet_faults", &report);
+    kelp_bench::save_json(kelp_bench::results_dir(), "bench_fleet_faults", &report);
 
     if !report.matrix.injected_faults() {
         eprintln!("FAIL: a cell's fault schedule injected nothing — the matrix measured air");

@@ -15,7 +15,6 @@
 
 use kelp::driver::ExperimentConfig;
 use kelp::experiments::{overall, timeline};
-use kelp::report::write_json;
 use kelp::runner::RunSpec;
 use kelp_mem::solver::{SolveStats, SolverTuning};
 use serde::Serialize;
@@ -118,7 +117,7 @@ fn main() {
         evaluation_ratio,
         timeline_memo_hits,
     };
-    let _ = write_json(kelp_bench::results_dir(), "bench_solver_hot", &report);
+    kelp_bench::save_json(kelp_bench::results_dir(), "bench_solver_hot", &report);
 
     if timeline_memo_hits == 0 {
         eprintln!("FAIL: optimized timeline run recorded zero memo hits");

@@ -20,5 +20,5 @@ fn main() {
             s.policy, s.node_slowdown
         );
     }
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "ext_tail_amplification", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "ext_tail_amplification", &r);
 }

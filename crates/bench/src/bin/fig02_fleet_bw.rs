@@ -7,5 +7,5 @@ fn main() {
         "Headline: {:.1}% of machines exceed 70% of peak BW (paper: ~16%)",
         fig.fraction_above_70pct * 100.0
     );
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig02_fleet_bw", &fig);
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig02_fleet_bw", &fig);
 }

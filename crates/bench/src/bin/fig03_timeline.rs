@@ -18,7 +18,7 @@ fn main() {
     for e in r.colocated_window.iter().take(12) {
         println!("  {:>8} {} -> {}", e.kind, e.start, e.end);
     }
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig03_timeline", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig03_timeline", &r);
     // Perfetto-compatible timeline of the two windows (open in
     // https://ui.perfetto.dev or chrome://tracing).
     let standalone = kelp_simcore::trace::PhaseTrace::from_events(r.standalone_window.clone());
@@ -28,9 +28,8 @@ fn main() {
         ("colocated", &colocated),
     ]);
     let dir = kelp_bench::results_dir();
-    let _ = std::fs::create_dir_all(&dir);
     let path = dir.join("fig03_trace.json");
-    if std::fs::write(&path, chrome).is_ok() {
-        println!("\nPerfetto timeline written to {}", path.display());
-    }
+    let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, chrome));
+    kelp_bench::exit_unless_written(&path, written);
+    println!("\nPerfetto timeline written to {}", path.display());
 }

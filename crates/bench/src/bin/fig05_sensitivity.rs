@@ -23,5 +23,5 @@ fn main() {
         chart.group(row.workload.clone(), bars);
     }
     chart.print();
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig05_sensitivity", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig05_sensitivity", &r);
 }

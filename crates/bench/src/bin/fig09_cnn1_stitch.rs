@@ -6,5 +6,5 @@ fn main() {
     let r = kelp::experiments::mix::figure9_with(&runner, &config);
     r.ml_table().print();
     r.cpu_table().print();
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig09_cnn1_stitch", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig09_cnn1_stitch", &r);
 }

@@ -7,5 +7,5 @@ fn main() {
     r.ml_table().print();
     r.tail_table().print();
     r.cpu_table().print();
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig10_rnn1_cpuml", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig10_rnn1_cpuml", &r);
 }

@@ -5,5 +5,5 @@ fn main() {
     let runner = kelp_bench::runner_from_args();
     let r = kelp::experiments::mix::figure9_with(&runner, &config);
     r.actuator_table().print();
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig11_params_cnn1_stitch", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig11_params_cnn1_stitch", &r);
 }

@@ -32,8 +32,8 @@ fn main() {
             .collect(),
     );
     chart.print();
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig13_overall", &r);
-    let _ = kelp::report::write_csv(
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig13_overall", &r);
+    kelp_bench::save_csv(
         kelp_bench::results_dir(),
         "fig13_overall",
         &r.figure13_table(),

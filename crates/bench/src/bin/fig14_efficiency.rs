@@ -13,5 +13,5 @@ fn main() {
         r.avg_efficiency(PolicyKind::KelpSubdomain),
         r.avg_efficiency(PolicyKind::Kelp)
     );
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig14_efficiency", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig14_efficiency", &r);
 }

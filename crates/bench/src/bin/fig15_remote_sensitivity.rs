@@ -6,5 +6,5 @@ fn main() {
     let r = kelp::experiments::sensitivity::figure15_with(&runner, &config);
     r.table("Figure 15 — sensitivity incl. remote memory interference (normalized perf)")
         .print();
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig15_remote_sensitivity", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig15_remote_sensitivity", &r);
 }

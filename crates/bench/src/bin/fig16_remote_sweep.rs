@@ -9,5 +9,5 @@ fn main() {
             t.print();
         }
     }
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "fig16_remote_sweep", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "fig16_remote_sweep", &r);
 }

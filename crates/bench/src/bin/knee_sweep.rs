@@ -10,5 +10,5 @@ fn main() {
         r.knee_qps(3.0),
         r.target_qps
     );
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "knee_sweep", &r);
+    kelp_bench::save_json(kelp_bench::results_dir(), "knee_sweep", &r);
 }

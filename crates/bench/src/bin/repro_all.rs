@@ -7,7 +7,6 @@
 //! computed once and shared between the figures that consume them.
 
 use kelp::policy::PolicyKind;
-use kelp::report::write_json;
 use std::time::Instant;
 
 fn timed<T>(times: &mut Vec<(String, f64)>, name: &str, f: impl FnOnce() -> T) -> T {
@@ -36,22 +35,22 @@ fn main() {
         "fraction above 70% peak: {:.3} (paper ~0.16)\n",
         fig2.fraction_above_70pct
     );
-    let _ = write_json(&dir, "fig02_fleet_bw", &fig2);
+    kelp_bench::save_json(&dir, "fig02_fleet_bw", &fig2);
 
     println!("=== Figure 3 ===");
     let fig3 = timed(&mut times, "fig03_timeline", || {
         kelp::experiments::timeline::figure3_with(&runner, &config)
     });
     fig3.table().print();
-    let _ = write_json(&dir, "fig03_timeline", &fig3);
+    kelp_bench::save_json(&dir, "fig03_timeline", &fig3);
 
     println!("=== Figure 5 ===");
     let fig5 = timed(&mut times, "fig05_sensitivity", || {
         kelp::experiments::sensitivity::figure5_with(&runner, &config)
     });
     fig5.table("Figure 5").print();
-    let _ = write_json(&dir, "fig05_sensitivity", &fig5);
-    let _ = kelp::report::write_csv(&dir, "fig05_sensitivity", &fig5.table("Figure 5"));
+    kelp_bench::save_json(&dir, "fig05_sensitivity", &fig5);
+    kelp_bench::save_csv(&dir, "fig05_sensitivity", &fig5.table("Figure 5"));
 
     println!("=== Figure 7 ===");
     let fig7 = timed(&mut times, "fig07_backpressure", || {
@@ -62,7 +61,7 @@ fn main() {
             t.print();
         }
     }
-    let _ = write_json(&dir, "fig07_backpressure", &fig7);
+    kelp_bench::save_json(&dir, "fig07_backpressure", &fig7);
 
     println!("=== Figures 9 & 11 ===");
     let fig9 = timed(&mut times, "fig09_cnn1_stitch", || {
@@ -71,8 +70,8 @@ fn main() {
     fig9.ml_table().print();
     fig9.cpu_table().print();
     fig9.actuator_table().print();
-    let _ = write_json(&dir, "fig09_cnn1_stitch", &fig9);
-    let _ = write_json(&dir, "fig11_params_cnn1_stitch", &fig9);
+    kelp_bench::save_json(&dir, "fig09_cnn1_stitch", &fig9);
+    kelp_bench::save_json(&dir, "fig11_params_cnn1_stitch", &fig9);
 
     println!("=== Figures 10 & 12 ===");
     let fig10 = timed(&mut times, "fig10_rnn1_cpuml", || {
@@ -82,8 +81,8 @@ fn main() {
     fig10.tail_table().print();
     fig10.cpu_table().print();
     fig10.actuator_table().print();
-    let _ = write_json(&dir, "fig10_rnn1_cpuml", &fig10);
-    let _ = write_json(&dir, "fig12_params_rnn1_cpuml", &fig10);
+    kelp_bench::save_json(&dir, "fig10_rnn1_cpuml", &fig10);
+    kelp_bench::save_json(&dir, "fig12_params_rnn1_cpuml", &fig10);
 
     println!("=== Figures 13 & 14 ===");
     let overall = timed(&mut times, "fig13_overall", || {
@@ -105,23 +104,23 @@ fn main() {
         overall.avg_efficiency(PolicyKind::KelpSubdomain),
         overall.avg_efficiency(PolicyKind::Kelp)
     );
-    let _ = write_json(&dir, "fig13_overall", &overall);
-    let _ = kelp::report::write_csv(&dir, "fig13_overall", &overall.figure13_table());
-    let _ = kelp::report::write_csv(&dir, "fig14_efficiency", &overall.figure14_table());
+    kelp_bench::save_json(&dir, "fig13_overall", &overall);
+    kelp_bench::save_csv(&dir, "fig13_overall", &overall.figure13_table());
+    kelp_bench::save_csv(&dir, "fig14_efficiency", &overall.figure14_table());
 
     println!("=== Knee sweep (the paper's omitted SIII-A plot) ===");
     let knee = timed(&mut times, "knee_sweep", || {
         kelp::experiments::knee::default_sweep_with(&runner, &config)
     });
     knee.table().print();
-    let _ = write_json(&dir, "knee_sweep", &knee);
+    kelp_bench::save_json(&dir, "knee_sweep", &knee);
 
     println!("=== Figure 15 ===");
     let fig15 = timed(&mut times, "fig15_remote_sensitivity", || {
         kelp::experiments::sensitivity::figure15_with(&runner, &config)
     });
     fig15.table("Figure 15").print();
-    let _ = write_json(&dir, "fig15_remote_sensitivity", &fig15);
+    kelp_bench::save_json(&dir, "fig15_remote_sensitivity", &fig15);
 
     println!("=== Figure 16 ===");
     let fig16 = timed(&mut times, "fig16_remote_sweep", || {
@@ -132,7 +131,7 @@ fn main() {
             t.print();
         }
     }
-    let _ = write_json(&dir, "fig16_remote_sweep", &fig16);
+    kelp_bench::save_json(&dir, "fig16_remote_sweep", &fig16);
 
     println!("=== Fault matrix (extension) ===");
     let fault_matrix = timed(&mut times, "ext_fault_matrix", || {
@@ -150,7 +149,7 @@ fn main() {
             "LEAVES"
         }
     );
-    let _ = write_json(&dir, "ext_fault_matrix", &fault_matrix);
+    kelp_bench::save_json(&dir, "ext_fault_matrix", &fault_matrix);
 
     println!("=== Wall-clock (jobs = {}) ===", runner.jobs());
     for (name, secs) in &times {

@@ -5,7 +5,7 @@ fn main() {
     let runner = kelp_bench::runner_from_args();
     let s = kelp::experiments::scorecard::run_scorecard_with(&runner, &config);
     s.table().print();
-    let _ = kelp::report::write_json(kelp_bench::results_dir(), "scorecard", &s);
+    kelp_bench::save_json(kelp_bench::results_dir(), "scorecard", &s);
     if s.passed() < s.claims.len() {
         println!("note: WARN rows are outside their band; see EXPERIMENTS.md for discussion");
     }

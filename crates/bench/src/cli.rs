@@ -153,22 +153,32 @@ pub fn parse_cpu(spec: &str) -> Result<(BatchKind, usize), CliError> {
     Ok((kind, threads))
 }
 
-/// Parses a `--jobs N` flag anywhere in an argument vector. Absent flag
-/// means serial (`1`); `--jobs 0` is rejected.
-pub fn parse_jobs(args: &[String]) -> Result<usize, CliError> {
-    let Some(pos) = args.iter().position(|a| a == "--jobs") else {
-        return Ok(1);
+/// Parses the value of a `FLAG VALUE` pair anywhere in an argument vector:
+/// `None` when the flag is absent, an error when its value is missing or
+/// does not parse as `T`.
+pub fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+) -> Result<Option<T>, CliError> {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
     };
     let v = args
         .get(pos + 1)
-        .ok_or_else(|| CliError::new("--jobs needs a value"))?;
-    let jobs: usize = v
-        .parse()
-        .map_err(|_| CliError::new(format!("bad --jobs value '{v}'")))?;
-    if jobs == 0 {
-        return Err(CliError::new("--jobs must be > 0"));
+        .ok_or_else(|| CliError::new(format!("{flag} needs a value")))?;
+    v.parse()
+        .map(Some)
+        .map_err(|_| CliError::new(format!("bad {flag} value '{v}'")))
+}
+
+/// Parses a `--jobs N` flag anywhere in an argument vector. Absent flag
+/// means serial (`1`); `--jobs 0` is rejected.
+pub fn parse_jobs(args: &[String]) -> Result<usize, CliError> {
+    match parse_flag(args, "--jobs")? {
+        None => Ok(1),
+        Some(0) => Err(CliError::new("--jobs must be > 0")),
+        Some(jobs) => Ok(jobs),
     }
-    Ok(jobs)
 }
 
 /// Parses a full argument vector (without the program name).
@@ -342,6 +352,26 @@ mod tests {
             parse_cpu("dram:14").unwrap(),
             (BatchKind::DramAggressor, 14)
         );
+    }
+
+    #[test]
+    fn value_flags() {
+        let args = argv(&[
+            "bin",
+            "--ticks",
+            "12",
+            "--churn",
+            "0.5",
+            "--machines",
+            "nope",
+        ]);
+        assert_eq!(parse_flag::<usize>(&args, "--ticks").unwrap(), Some(12));
+        assert_eq!(parse_flag::<f64>(&args, "--churn").unwrap(), Some(0.5));
+        assert_eq!(parse_flag::<usize>(&args, "--jobs").unwrap(), None);
+        let err = parse_flag::<usize>(&args, "--machines").unwrap_err();
+        assert_eq!(err.message(), "bad --machines value 'nope'");
+        assert!(parse_flag::<usize>(&argv(&["--ticks"]), "--ticks").is_err());
+        assert!(parse_flag::<usize>(&argv(&["--ticks", "-3"]), "--ticks").is_err());
     }
 
     #[test]

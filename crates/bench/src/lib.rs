@@ -23,7 +23,10 @@ pub mod cli;
 pub mod timing;
 
 use kelp::driver::ExperimentConfig;
+use kelp::report::Table;
 use kelp_simcore::time::SimDuration;
+use serde::Serialize;
+use std::path::Path;
 
 /// Parses the common CLI flags shared by every figure binary.
 ///
@@ -59,6 +62,41 @@ pub fn results_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| std::path::PathBuf::from("results"))
 }
 
+/// Unwraps a parsed flag. On a usage error (a missing or malformed value)
+/// it prints the error to stderr and exits 2.
+pub fn exit_on_usage_error<T>(parsed: Result<T, cli::CliError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
+/// Writes `value` as `<dir>/<name>.json`; a failed write exits 1
+/// ([`exit_unless_written`]).
+pub fn save_json<T: Serialize>(dir: impl AsRef<Path>, name: &str, value: &T) {
+    let dir = dir.as_ref();
+    let written = kelp::report::write_json(dir, name, value);
+    exit_unless_written(&dir.join(format!("{name}.json")), written);
+}
+
+/// Writes `table` as `<dir>/<name>.csv`; a failed write exits 1
+/// ([`exit_unless_written`]).
+pub fn save_csv(dir: impl AsRef<Path>, name: &str, table: &Table) {
+    let dir = dir.as_ref();
+    let written = kelp::report::write_csv(dir, name, table);
+    exit_unless_written(&dir.join(format!("{name}.csv")), written);
+}
+
+/// Unwraps the result of writing the results file `path`. On failure it
+/// prints the path and the error to stderr and exits 1, so a run that
+/// wrote nothing never exits 0.
+pub fn exit_unless_written<T>(path: &Path, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: could not write {}: {e}", path.display());
+        std::process::exit(1)
+    })
+}
+
 /// Directory of the content-addressed run cache (`results/cache/`).
 pub fn cache_dir() -> std::path::PathBuf {
     results_dir().join("cache")
@@ -74,13 +112,7 @@ pub fn runner_from_args() -> kelp::runner::Runner {
 
 /// Testable core of [`runner_from_args`].
 pub fn runner_from(args: &[String]) -> kelp::runner::Runner {
-    let jobs = match cli::parse_jobs(args) {
-        Ok(jobs) => jobs,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let jobs = exit_on_usage_error(cli::parse_jobs(args));
     let runner = kelp::runner::Runner::new(jobs);
     if args.iter().any(|a| a == "--no-cache") {
         runner

@@ -9,7 +9,7 @@
 
 use crate::measure::{MeasurementAvg, Measurements};
 use crate::policy::{Policy, PolicyCtx, PolicyKind, PolicySnapshot};
-use kelp_host::{HostMachine, HostTaskId, MachineReport};
+use kelp_host::{HostMachine, HostTaskId};
 use kelp_mem::solver::{FixedFlow, SolveStats, SolverScratch, SolverTuning};
 use kelp_mem::topology::{MachineSpec, SocketId};
 use kelp_mem::MemCounters;
@@ -71,16 +71,14 @@ impl ExperimentResult {
 type MemTweak = Box<dyn FnOnce(&mut kelp_mem::MemSystem)>;
 
 /// Reusable per-worker execution state threaded through
-/// [`ExperimentBuilder::run_with`]: the per-tick report buffer and the
-/// solver workspace survive from one experiment to the next, so a worker
-/// sweeping many specs stops rebuilding the solver arenas per spec. The
-/// workspace's warm-start state is reset before each adoption
-/// ([`SolverScratch::reset_warm_state`]), which is bit-identical to a fresh
-/// scratch — the scratch-reuse ≡ fresh contract `tests/solver_hot.rs` pins.
+/// [`ExperimentBuilder::run_with`]: the solver workspace survives from one
+/// experiment to the next, so a worker sweeping many specs stops
+/// rebuilding the solver arenas per spec. The workspace's warm-start state
+/// is reset before each adoption ([`SolverScratch::reset_warm_state`]),
+/// which is bit-identical to a fresh scratch — the scratch-reuse ≡ fresh
+/// contract `tests/solver_hot.rs` pins.
 #[derive(Debug)]
 pub struct ExecScratch {
-    /// Per-tick report buffer (same-shape refreshes are allocation-free).
-    report: MachineReport,
     /// Solver workspace handed machine-to-machine across specs.
     solver: SolverScratch,
 }
@@ -89,7 +87,6 @@ impl ExecScratch {
     /// A fresh workspace (arenas grow on first use).
     pub fn new() -> Self {
         ExecScratch {
-            report: MachineReport::empty(),
             solver: SolverScratch::default(),
         }
     }
@@ -241,7 +238,7 @@ impl ExperimentBuilder {
 
     /// Runs the experiment to completion against a reusable workspace.
     /// Bit-identical to [`ExperimentBuilder::run`]; the workspace only
-    /// recycles allocations (report buffer, solver arenas) between specs.
+    /// recycles the solver arenas between specs.
     pub fn run_with(self, scratch: &mut ExecScratch) -> ExperimentResult {
         let ExperimentBuilder {
             mut ml,
@@ -347,8 +344,9 @@ impl ExperimentBuilder {
                     }
                 }
             }
-            machine.step_into(&mut scratch.report);
-            let report = &scratch.report;
+            // The machine lends its report for the measurement and the
+            // workloads' accounting; a replayed step copies nothing.
+            let report = machine.step();
             // What the memory system actually did this step (reporting).
             let true_m =
                 Measurements::from_counters(&report.counters, socket, hp_domain, lp_domain);
@@ -394,8 +392,10 @@ impl ExperimentBuilder {
                 window_avg.add(true_m);
             }
             for w in ml.iter_mut().chain(cpu.iter_mut()) {
-                w.post_step(now, config.dt, report);
+                w.post_step(now, config.dt, &report);
             }
+            // Release the loan before the policy actuates the machine.
+            drop(report);
             now += config.dt;
 
             if !warmed_up && now >= warmup_end {

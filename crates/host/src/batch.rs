@@ -21,7 +21,7 @@
 //! bit-identical reports, solve stats and memo contents to stepping every
 //! machine serially with [`HostMachine::solve`].
 
-use crate::machine::{HostMachine, LoweredStep, MachineReport};
+use crate::machine::{HostMachine, LoweredStep, MachineReport, Served, SolveHealth};
 use kelp_mem::batch::BatchSolver;
 use kelp_mem::solver::{SolverInput, SolverScratch};
 
@@ -86,9 +86,10 @@ impl HostBatch {
     }
 
     /// Steps every machine one tick, refreshing `reports` in place (one
-    /// slot per machine, same order). Every slot is fully overwritten;
-    /// slots from a previous tick of the same fleet make the adaptive-skip
-    /// refresh allocation-free. Bit-identical to [`HostBatch::step`].
+    /// slot per machine, same order). Every slot is fully overwritten with
+    /// a copy of its machine's report; slots from a previous tick of the
+    /// same fleet make that copy allocation-free. Bit-identical to
+    /// [`HostBatch::step`].
     ///
     /// # Panics
     ///
@@ -98,32 +99,24 @@ impl HostBatch {
         assert_eq!(reports.len(), n, "one report slot per machine");
         let mut filled = 0usize;
 
-        // Phases 1 + 2: adaptive skips and memo hits drop out before the
-        // solver sees them.
+        // Phases 1 + 2: down machines, adaptive skips and memo hits drop
+        // out before the solver sees them. `serve` is the call the scalar
+        // path makes, so stats and reports stay bit-identical.
         let mut pending: Vec<(usize, LoweredStep)> = Vec::new();
         for (i, m) in machines.iter().enumerate() {
             self.stats.machines_stepped = self.stats.machines_stepped.saturating_add(1);
-            // Lifecycle fast path: a down machine serves the safe-state
-            // report — the same call the scalar path makes, so stats and
-            // reports stay bit-identical.
-            if !m.lifecycle().is_serving() {
-                reports[i] = m.safe_step();
-                filled += 1;
-                self.stats.down_steps = self.stats.down_steps.saturating_add(1);
-                continue;
-            }
-            if m.solver_tuning().memo && !m.is_dirty() && m.replay_skip_into(&mut reports[i]) {
-                filled += 1;
-                self.stats.adaptive_skips = self.stats.adaptive_skips.saturating_add(1);
-                continue;
-            }
-            let lowered = m.lower();
-            if m.solver_tuning().memo && m.memo_hit_into(&lowered.input, &mut reports[i]) {
-                filled += 1;
-                self.stats.memo_hits = self.stats.memo_hits.saturating_add(1);
-                continue;
-            }
-            pending.push((i, lowered));
+            let counter = match m.serve() {
+                Served::SafeState => &mut self.stats.down_steps,
+                Served::Replay => &mut self.stats.adaptive_skips,
+                Served::MemoHit => &mut self.stats.memo_hits,
+                Served::Solve(lowered) => {
+                    pending.push((i, lowered));
+                    continue;
+                }
+            };
+            *counter = counter.saturating_add(1);
+            reports[i].clone_from(&m.last_report());
+            filled += 1;
         }
 
         // Phase 3: group pending lanes by memory-system equality (lanes in
@@ -168,16 +161,15 @@ impl HostBatch {
                 let m = &machines[*i];
                 // Lane isolation: a diverged or non-finite lane resolves
                 // through the machine's rescue / safe-state ladder instead
-                // of shipping the damped estimate. `resolve_output` is the
+                // of shipping the damped estimate. `finish_solve` is the
                 // exact routine the scalar path runs, so a sick lane's
                 // report, stats and memo entry are path-invariant.
-                let report = m.resolve_output(lowered, output);
-                if report.health != crate::machine::SolveHealth::Healthy {
+                m.finish_solve(lowered, output);
+                let report = m.last_report();
+                if report.health != SolveHealth::Healthy {
                     self.stats.lane_fallbacks = self.stats.lane_fallbacks.saturating_add(1);
                 }
-                m.memo_put(lowered.input.clone(), &report);
-                m.finish_step(&report);
-                reports[*i] = report;
+                reports[*i].clone_from(&report);
                 filled += 1;
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! [`HostMachine`] is the simulated analogue of one production server. The
 //! experiment driver registers tasks, accelerator DMA flows, and then calls
-//! [`HostMachine::solve`] once per simulation step to learn how fast every
+//! [`HostMachine::step`] once per simulation step to learn how fast every
 //! task progressed. Runtime policies manipulate the machine through the
 //! [`Actuator`] trait — the same four levers Kelp has on real hardware:
 //! cpusets (core allocations), L2 prefetcher MSRs, CAT masks, and (for the
@@ -18,6 +18,7 @@ use kelp_mem::solver::{
 };
 use kelp_mem::topology::{DomainId, SncMode};
 use kelp_mem::MemCounters;
+use std::cell::Ref;
 use std::collections::BTreeMap;
 
 /// Contract check at the machine's public API boundary: an invalid spec is a
@@ -108,12 +109,15 @@ impl TaskStepResult {
 }
 
 /// Result of one solved step for the whole machine.
+///
+/// Plain data: every row is `Copy`, so a same-shape [`Clone::clone_from`]
+/// is a handful of memcpys and never touches the allocator.
 #[derive(Debug, PartialEq)]
 pub struct MachineReport {
-    /// Per-task results.
-    pub tasks: BTreeMap<HostTaskId, TaskStepResult>,
-    /// Achieved rate per registered fixed flow, GB/s.
-    pub flows: BTreeMap<usize, f64>,
+    /// Per-task results: the live tasks, in id order.
+    pub tasks: Vec<(HostTaskId, TaskStepResult)>,
+    /// Achieved rate per registered fixed flow in GB/s, indexed by flow id.
+    pub flows: Vec<f64>,
     /// Counter snapshot (what the runtime's PMU sampling sees).
     pub counters: MemCounters,
     /// Whether the memory solve converged.
@@ -121,6 +125,15 @@ pub struct MachineReport {
     /// Which rung of the fallback ladder produced this report.
     pub health: SolveHealth,
 }
+
+// Report rows stay plain data, so copying a report stays a memcpy: a
+// non-`Copy` field added to a row type fails the build here.
+const _: () = {
+    const fn assert_copy<T: Copy>() {}
+    assert_copy::<TaskStepResult>();
+    assert_copy::<kelp_mem::counters::DomainCounters>();
+    assert_copy::<kelp_mem::counters::SocketCounters>();
+};
 
 impl Clone for MachineReport {
     fn clone(&self) -> Self {
@@ -133,29 +146,14 @@ impl Clone for MachineReport {
         }
     }
 
-    /// Allocation-free when `source` has the same shape (same task and flow
-    /// key sets, same counter dimensions): map values are `Copy` and are
-    /// overwritten in place, and the counter vectors reuse their buffers.
-    /// This is the steady-state cost of the fleet batch path's adaptive
-    /// skip, so it must not touch the allocator for an unchanged machine.
+    /// Field-wise, so the row vectors reuse their buffers: allocation-free
+    /// whenever `self` already has room for `source`'s rows.
     fn clone_from(&mut self, source: &Self) {
-        if self.tasks.len() == source.tasks.len() && self.tasks.keys().eq(source.tasks.keys()) {
-            for (dst, src) in self.tasks.values_mut().zip(source.tasks.values()) {
-                *dst = *src;
-            }
-        } else {
-            self.tasks = source.tasks.clone();
-        }
-        if self.flows.len() == source.flows.len() && self.flows.keys().eq(source.flows.keys()) {
-            for (dst, src) in self.flows.values_mut().zip(source.flows.values()) {
-                *dst = *src;
-            }
-        } else {
-            self.flows = source.flows.clone();
-        }
+        self.tasks.clone_from(&source.tasks);
+        self.flows.clone_from(&source.flows);
         self.counters.clone_from(&source.counters);
-        self.converged = source.converged;
-        self.health = source.health;
+        self.converged.clone_from(&source.converged);
+        self.health.clone_from(&source.health);
     }
 }
 
@@ -163,9 +161,9 @@ impl MachineReport {
     /// The result for a task (zeros if unknown).
     pub fn task(&self, id: HostTaskId) -> TaskStepResult {
         self.tasks
-            .get(&id)
-            .copied()
-            .unwrap_or(TaskStepResult::zero())
+            .iter()
+            .find(|(task, _)| *task == id)
+            .map_or(TaskStepResult::zero(), |&(_, result)| result)
     }
 
     /// An empty report: no tasks or flows, zero counters, not converged.
@@ -174,8 +172,8 @@ impl MachineReport {
     /// wholesale.
     pub fn empty() -> Self {
         MachineReport {
-            tasks: BTreeMap::new(),
-            flows: BTreeMap::new(),
+            tasks: Vec::new(),
+            flows: Vec::new(),
             counters: MemCounters::default(),
             converged: false,
             health: SolveHealth::SafeState,
@@ -248,11 +246,16 @@ pub struct HostMachine {
     /// Set by every mutation that can change the solver input or its
     /// meaning; cleared by each solved step. While clear (and memoization
     /// is on), the machine's configuration is unchanged since its last
-    /// step, so the fleet batch path may replay [`HostMachine::solve`]'s
-    /// guaranteed memo hit without lowering or solving at all.
+    /// step, so a step may replay its guaranteed memo hit without lowering
+    /// or solving at all.
     dirty: std::cell::Cell<bool>,
-    /// The last step's report — the adaptive-skip replay value.
-    last_report: std::cell::RefCell<Option<MachineReport>>,
+    /// The last step's report, lent out by [`HostMachine::step`]. Every
+    /// step leaves its report here; the machine is its only owner.
+    report: std::cell::RefCell<MachineReport>,
+    /// Whether `report` came from a serving step (solve or memo hit) and so
+    /// is the adaptive-skip replay value. A down machine's safe-state
+    /// report is not.
+    replayable: std::cell::Cell<bool>,
     /// Lifecycle state (fleet robustness layer); `Up` at construction.
     lifecycle: MachineLifecycle,
 }
@@ -279,7 +282,8 @@ impl HostMachine {
             tuning: SolverTuning::default(),
             actuation_fault: false,
             dirty: std::cell::Cell::new(true),
-            last_report: std::cell::RefCell::new(None),
+            report: std::cell::RefCell::new(MachineReport::empty()),
+            replayable: std::cell::Cell::new(false),
             lifecycle: MachineLifecycle::Up,
         }
     }
@@ -296,7 +300,7 @@ impl HostMachine {
     /// persisted firmware/BIOS-level settings).
     pub fn crash(&mut self) {
         self.lifecycle = MachineLifecycle::Down;
-        *self.last_report.borrow_mut() = None;
+        self.replayable.set(false);
         self.mark_dirty();
     }
 
@@ -529,82 +533,109 @@ impl HostMachine {
         spec.cores / self.mem.snc().domains_per_socket() as usize
     }
 
-    /// Solves the memory system for the current configuration. A `Down` or
-    /// `Recovering` machine answers with the deterministic safe-state
-    /// report instead of solving; a failed solve walks the rescue /
-    /// safe-state ladder (see [`SolveHealth`]).
+    /// Solves the memory system for the current configuration and returns
+    /// an owned copy of the report. A `Down` or `Recovering` machine
+    /// answers with the deterministic safe-state report instead of solving;
+    /// a failed solve walks the rescue / safe-state ladder (see
+    /// [`SolveHealth`]).
     pub fn solve(&self) -> MachineReport {
-        let mut out = MachineReport::empty();
-        self.step_into(&mut out);
-        out
+        self.step().clone()
     }
 
-    /// [`HostMachine::solve`] refreshing a caller-owned report in place.
-    /// Bit-identical to `solve` — same report, stats, memo and replay state
-    /// — but allocation-free in the steady state: a clean machine replays
-    /// its last report ([`HostMachine::replay_skip_into`], the same fast
-    /// path the fleet batch layer takes), and a memoized input copies the
-    /// cached report into `out` via `clone_from` instead of cloning twice.
+    /// [`HostMachine::solve`] refreshing a caller-owned report in place:
+    /// same report, stats, memo and replay state, and allocation-free once
+    /// `out` has room for the machine's rows.
     pub fn step_into(&self, out: &mut MachineReport) {
+        out.clone_from(&self.step());
+    }
+
+    /// Advances the machine one step and lends out its report, which the
+    /// machine keeps until the next step. Nothing is copied unless the
+    /// step changes the report: a clean machine replays its last report by
+    /// bumping a counter, a memoized input copies the memo entry into the
+    /// owned report, and a solve moves its report in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a report borrowed from an earlier step is still alive
+    /// when this step has to rewrite the report: drop each loan before
+    /// the next step.
+    pub fn step(&self) -> Ref<'_, MachineReport> {
+        if let Served::Solve(lowered) = self.serve() {
+            let output = self
+                .mem
+                .solve_with(&lowered.input, &mut self.scratch.borrow_mut());
+            self.finish_solve(&lowered, &output);
+        }
+        self.last_report()
+    }
+
+    /// The report of the last step (the empty report before the first).
+    pub(crate) fn last_report(&self) -> Ref<'_, MachineReport> {
+        self.report.borrow()
+    }
+
+    /// Serves the step from state the machine already has — the safe
+    /// state of a down machine, the replay of a clean one, or a memo hit —
+    /// and counts it; otherwise lowers the configuration and returns it for
+    /// a solve that [`HostMachine::finish_solve`] completes. Shared
+    /// verbatim by the scalar and batch paths so their reports, stats and
+    /// memo contents stay bit-identical.
+    pub(crate) fn serve(&self) -> Served {
         if !self.lifecycle.is_serving() {
-            *out = self.safe_step();
-            return;
+            self.safe_step();
+            return Served::SafeState;
         }
         // Clean machine: the lowered input would be bit-identical to the
         // previous step's, whose report is still memoized (FIFO eviction
-        // only happens on insert), so the memo hit is guaranteed — replay
-        // it without lowering or scanning.
-        if self.tuning.memo && !self.is_dirty() && self.replay_skip_into(out) {
-            return;
+        // only happens on insert), so the memo hit is guaranteed — and its
+        // report is the one the machine already holds.
+        if self.tuning.memo && !self.is_dirty() && self.replayable.get() {
+            self.note_memo_hit();
+            return Served::Replay;
         }
         let lowered = self.lower();
-        if self.tuning.memo && self.memo_hit_into(&lowered.input, out) {
-            return;
+        if self.tuning.memo && self.memo_hit(&lowered.input) {
+            return Served::MemoHit;
         }
-        let output = self
-            .mem
-            .solve_with(&lowered.input, &mut self.scratch.borrow_mut());
-        let report = self.resolve_output(&lowered, &output);
-        self.memo_put(lowered.input, &report);
-        self.finish_step(&report);
-        *out = report;
+        Served::Solve(lowered)
     }
 
     /// One non-serving (`Down`/`Recovering`) step: counts a safe-state
-    /// solve and returns the zero-rate report. Shared verbatim by the
-    /// scalar and batch paths so their stats stay bit-identical; the step
-    /// deliberately skips `finish_step` — a dead machine records no replay
-    /// value and stays dirty for its first post-restore solve.
-    pub(crate) fn safe_step(&self) -> MachineReport {
-        let mut stats = self.stats.borrow_mut();
-        stats.solves = stats.solves.saturating_add(1);
-        stats.safe_states = stats.safe_states.saturating_add(1);
-        drop(stats);
-        self.safe_report(true)
+    /// solve and stores the zero-rate report. It deliberately records no
+    /// replay value — a dead machine stays dirty for its first
+    /// post-restore solve.
+    fn safe_step(&self) {
+        {
+            let mut stats = self.stats.borrow_mut();
+            stats.solves = stats.solves.saturating_add(1);
+            stats.safe_states = stats.safe_states.saturating_add(1);
+        }
+        *self.report.borrow_mut() = self.safe_report(true);
     }
 
     /// The deterministic safe-state report: every live task at zero rate,
     /// every flow at zero, zero counters. `converged` is vacuously true for
     /// a down machine (nothing was solved) and false when the ladder
     /// exhausted both solve attempts.
-    pub(crate) fn safe_report(&self, converged: bool) -> MachineReport {
-        let mut tasks = BTreeMap::new();
-        for (ti, t) in self.tasks.iter().enumerate() {
-            if t.alive {
-                tasks.insert(HostTaskId(ti), TaskStepResult::zero());
-            }
-        }
-        let mut flows = BTreeMap::new();
-        for i in 0..self.flows.len() {
-            flows.insert(i, 0.0);
-        }
+    fn safe_report(&self, converged: bool) -> MachineReport {
         MachineReport {
-            tasks,
-            flows,
+            tasks: self.zero_task_rows(),
+            flows: vec![0.0; self.flows.len()],
             counters: MemCounters::default(),
             converged,
             health: SolveHealth::SafeState,
         }
+    }
+
+    /// One zero row per live task, in id order.
+    fn zero_task_rows(&self) -> Vec<(HostTaskId, TaskStepResult)> {
+        self.tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.alive)
+            .map(|(ti, _)| (HostTaskId(ti), TaskStepResult::zero()))
+            .collect()
     }
 
     /// Turns a primary solver output into the step's report by walking the
@@ -614,11 +645,7 @@ impl HostMachine {
     /// costs and ladder counters into the machine's stats — the scalar path
     /// and the batch path both resolve through here, so stats and reports
     /// are identical no matter which path ran the primary solve.
-    pub(crate) fn resolve_output(
-        &self,
-        lowered: &LoweredStep,
-        output: &SolverOutput,
-    ) -> MachineReport {
+    fn resolve_output(&self, lowered: &LoweredStep, output: &SolverOutput) -> MachineReport {
         self.absorb_stats(&output.stats);
         if output_is_healthy(output) {
             return self.assemble(lowered, output);
@@ -754,34 +781,32 @@ impl HostMachine {
         }
     }
 
-    /// Serves a memoized step for `input` into `out`, counting the memo hit
-    /// and finishing the step — the whole scalar memo-hit branch in one
-    /// call, with `clone_from` in place of an owned clone of the cache
-    /// entry (allocation-free when `out` has the entry's shape).
-    /// Returns `false` — and does nothing — when `input` is not memoized.
-    pub(crate) fn memo_hit_into(&self, input: &SolverInput, out: &mut MachineReport) -> bool {
+    /// Serves a memoized step for `input`: copies the memo entry into the
+    /// machine's report (allocation-free when the shapes fit), counts the
+    /// memo hit and marks the step replayable. Returns `false` — and does
+    /// nothing — when `input` is not memoized.
+    fn memo_hit(&self, input: &SolverInput) -> bool {
         {
             let cache = self.cache.borrow();
             let Some((_, report)) = cache.iter().find(|(k, _)| k == input) else {
                 return false;
             };
-            out.clone_from(report);
+            self.report.borrow_mut().clone_from(report);
         }
         self.note_memo_hit();
-        self.finish_step(out);
+        self.mark_replayable();
         true
     }
 
-    /// Counts one memo-served solve (the scalar memo-hit stat bump, shared
-    /// with the batch path's adaptive skip so stats stay path-invariant).
-    pub(crate) fn note_memo_hit(&self) {
+    /// Counts one memo-served solve (a memo hit or a replay).
+    fn note_memo_hit(&self) {
         let mut stats = self.stats.borrow_mut();
         stats.solves = stats.solves.saturating_add(1);
         stats.memo_hits = stats.memo_hits.saturating_add(1);
     }
 
     /// Accumulates a computed solve's cost counters.
-    pub(crate) fn absorb_stats(&self, stats: &SolveStats) {
+    fn absorb_stats(&self, stats: &SolveStats) {
         self.stats.borrow_mut().absorb(stats);
     }
 
@@ -792,13 +817,13 @@ impl HostMachine {
     }
 
     /// Inserts a computed report into the memo cache (FIFO eviction).
-    pub(crate) fn memo_put(&self, input: SolverInput, report: &MachineReport) {
+    fn memo_put(&self, input: &SolverInput, report: &MachineReport) {
         if self.tuning.memo {
             let mut cache = self.cache.borrow_mut();
             if cache.len() >= SOLVE_CACHE_CAPACITY {
                 cache.remove(0);
             }
-            cache.push((input, report.clone()));
+            cache.push((input.clone(), report.clone()));
         }
     }
 
@@ -808,15 +833,21 @@ impl HostMachine {
         self.cache.borrow().clone()
     }
 
-    /// Ends a solved step: records the report for adaptive-skip replay and
-    /// marks the configuration clean. `clone_from` keeps the steady-state
-    /// refresh of an unchanged-shape replay value off the allocator.
-    pub(crate) fn finish_step(&self, report: &MachineReport) {
-        let mut last = self.last_report.borrow_mut();
-        match last.as_mut() {
-            Some(prev) => prev.clone_from(report),
-            None => *last = Some(report.clone()),
-        }
+    /// Completes a step that [`HostMachine::serve`] could not serve: walks
+    /// the solver output through the fallback ladder, memoizes the result
+    /// and moves it into the machine's report. The scalar and batch paths
+    /// both finish through here, so a solved step is path-invariant.
+    pub(crate) fn finish_solve(&self, lowered: &LoweredStep, output: &SolverOutput) {
+        let report = self.resolve_output(lowered, output);
+        self.memo_put(&lowered.input, &report);
+        *self.report.borrow_mut() = report;
+        self.mark_replayable();
+    }
+
+    /// Ends a serving step: the machine's report is now the replay value
+    /// and its configuration is clean.
+    fn mark_replayable(&self) {
+        self.replayable.set(true);
         self.dirty.set(false);
     }
 
@@ -837,42 +868,17 @@ impl HostMachine {
         std::mem::take(&mut *self.scratch.borrow_mut())
     }
 
-    /// The adaptive-skip fast path: replays the last report for a clean
-    /// machine into `out` (allocation-free when `out` already has the same
-    /// shape), counting it as a memo-served solve. Returns `false` — and
-    /// does nothing — when there is no previous report. Only valid when the
-    /// machine is clean (its configuration is unchanged, so the scalar path
-    /// would take a guaranteed memo hit on the same report); `last_report`
-    /// and the clean flag are already exactly what [`finish_step`] would
-    /// store, so neither is rewritten.
-    ///
-    /// [`finish_step`]: HostMachine::finish_step
-    pub(crate) fn replay_skip_into(&self, out: &mut MachineReport) -> bool {
-        let last = self.last_report.borrow();
-        let Some(report) = last.as_ref() else {
-            return false;
-        };
-        out.clone_from(report);
-        drop(last);
-        self.note_memo_hit();
-        true
-    }
-
     /// Aggregates a solver output into the per-task machine report (step 4
     /// of a solve).
-    pub(crate) fn assemble(&self, lowered: &LoweredStep, output: &SolverOutput) -> MachineReport {
+    fn assemble(&self, lowered: &LoweredStep, output: &SolverOutput) -> MachineReport {
         let LoweredStep { keys, sub_eff, .. } = lowered;
-        // 4. Aggregate sub-task results per task.
-        let mut results: BTreeMap<HostTaskId, TaskStepResult> = BTreeMap::new();
-        for (ti, t) in self.tasks.iter().enumerate() {
-            if t.alive {
-                results.insert(HostTaskId(ti), TaskStepResult::zero());
-            }
-        }
+        // 4. Aggregate sub-task results per task. Lowering only emits
+        //    sub-tasks of live tasks, so every key has a row.
+        let mut results = self.zero_task_rows();
         for (res, &(ti, _ai)) in output.tasks.iter().zip(keys) {
-            let entry = results
-                .entry(HostTaskId(ti))
-                .or_insert(TaskStepResult::zero());
+            let Some((_, entry)) = results.iter_mut().find(|(id, _)| id.0 == ti) else {
+                continue;
+            };
             // Threads the solver actually ran for this sub-task (after SMT
             // scaling and intensity).
             let w = sub_eff[res.key.0];
@@ -885,21 +891,16 @@ impl HostMachine {
                 entry.speed_factor = res.speed_factor;
             }
         }
-        for r in results.values_mut() {
+        for (_, r) in &mut results {
             if r.effective_threads > 0.0 {
                 r.latency_ns /= r.effective_threads;
                 r.llc_hit_ratio /= r.effective_threads;
             }
         }
 
-        let mut flows = BTreeMap::new();
-        for (i, &g) in output.fixed_flow_gbps.iter().enumerate() {
-            flows.insert(i, g);
-        }
-
         MachineReport {
             tasks: results,
-            flows,
+            flows: output.fixed_flow_gbps.clone(),
             counters: output.counters.clone(),
             converged: output.converged,
             health: SolveHealth::Healthy,
@@ -946,6 +947,19 @@ pub(crate) struct LoweredStep {
     pub(crate) keys: Vec<(usize, usize)>,
     /// Effective threads per sub-task (aggregation weights).
     pub(crate) sub_eff: Vec<f64>,
+}
+
+/// How [`HostMachine::serve`] answered a step.
+#[derive(Debug)]
+pub(crate) enum Served {
+    /// `Down`/`Recovering`: the safe-state report.
+    SafeState,
+    /// Clean machine: its last report, replayed.
+    Replay,
+    /// A changed configuration found in the memo cache.
+    MemoHit,
+    /// Needs a solve of this lowered input.
+    Solve(LoweredStep),
 }
 
 impl Actuator for HostMachine {
@@ -1153,10 +1167,62 @@ mod tests {
             weight: 1.0,
         });
         let rep = m.solve();
-        assert!((rep.flows[&0] - 5.0).abs() < 1e-6);
+        assert!((rep.flows[0] - 5.0).abs() < 1e-6);
         m.set_flow_gbps(f, 9.0);
         let rep = m.solve();
-        assert!((rep.flows[&0] - 9.0).abs() < 1e-6);
+        assert!((rep.flows[0] - 9.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn report_clone_from_matches_clone_across_shape_changes() {
+        let flow = FixedFlow {
+            target: DomainId::new(0, 0),
+            source_socket: None,
+            gbps: 5.0,
+            weight: 1.0,
+        };
+        let mut m = machine(SncMode::Disabled);
+        let a = m.add_task(
+            stream_spec(4),
+            vec![CpuAllocation::local(DomainId::new(0, 0), 4)],
+        );
+        let one_task = m.solve();
+        m.add_task(
+            stream_spec(2),
+            vec![CpuAllocation::local(DomainId::new(1, 0), 2)],
+        );
+        let task_added = m.solve();
+        m.add_flow(flow);
+        let flow_added = m.solve();
+        m.remove_task(a);
+        let task_removed = m.solve();
+        // Twice the counter rows: SNC splits each socket into two domains.
+        let mut snc = machine(SncMode::Enabled);
+        snc.add_task(
+            stream_spec(4),
+            vec![CpuAllocation::local(DomainId::new(0, 1), 4)],
+        );
+        snc.add_flow(flow);
+        let subdomains = snc.solve();
+        assert_eq!(flow_added.flows.len(), 1);
+        assert_eq!(task_removed.tasks.len(), 1);
+        assert!(subdomains.counters.domains.len() > one_task.counters.domains.len());
+
+        let shapes = [
+            MachineReport::empty(),
+            one_task,
+            task_added,
+            flow_added,
+            task_removed,
+            subdomains,
+        ];
+        for (i, dst) in shapes.iter().enumerate() {
+            for (j, src) in shapes.iter().enumerate() {
+                let mut refreshed = dst.clone();
+                refreshed.clone_from(src);
+                assert_eq!(refreshed, src.clone(), "clone_from {j} into {i}");
+            }
+        }
     }
 
     #[test]

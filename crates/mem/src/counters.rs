@@ -10,7 +10,7 @@ use crate::topology::{DomainId, SocketId};
 use serde::{Deserialize, Serialize};
 
 /// Counters for one allocation domain (socket or SNC subdomain).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DomainCounters {
     /// The domain.
     pub domain: DomainId,
@@ -25,7 +25,7 @@ pub struct DomainCounters {
 }
 
 /// Counters for one socket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SocketCounters {
     /// The socket.
     pub socket: SocketId,
@@ -64,9 +64,8 @@ impl Clone for MemCounters {
     }
 
     /// Allocation-free when `source` has the same shape: the per-domain and
-    /// per-socket vectors reuse their buffers (`Vec::clone_from`), which is
-    /// what keeps the fleet batch path's steady-state report refresh off the
-    /// allocator.
+    /// per-socket vectors reuse their buffers (`Vec::clone_from`), and their
+    /// rows are `Copy`, so a same-shape refresh is two memcpys.
     fn clone_from(&mut self, source: &Self) {
         self.domains.clone_from(&source.domains);
         self.sockets.clone_from(&source.sockets);

@@ -259,7 +259,7 @@ impl Workload for InferenceServer {
 
         let end = now + dt;
         let mut finished: Vec<SimTime> = Vec::new();
-        let params = self.params.clone();
+        let params = &self.params;
         for q in self.in_flight.iter_mut() {
             let mut budget = dt_ns;
             while budget > 1e-9 {

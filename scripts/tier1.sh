@@ -54,10 +54,12 @@ fi
 
 echo "== solver identity tests =="
 # The hot-path determinism contract: scratch reuse and memoization must be
-# bit-identical to fresh solves (tests/solver_hot.rs). Always runs, even
-# though the workspace test run above covers it, so a partial invocation
-# of this script section still gates the contract.
-cargo test -q --release --test solver_hot
+# bit-identical to fresh solves (tests/solver_hot.rs), and the report a
+# machine lends out must equal the copies the in-place and batched paths
+# make of it (tests/report_owner.rs). Runs optimized, as the benchmark
+# times it, even though the workspace test run above covers both, so a
+# partial invocation of this script section still gates the contract.
+cargo test -q --release --test solver_hot --test report_owner
 
 echo "== regenerate results/ and diff =="
 # Every file under results/ is a pure function of the code. Regenerate all

@@ -208,7 +208,7 @@ fn host_batch_fleet_matches_serial_bitwise() {
             batch.step_into(&batch_fleet, &mut reused);
             assert_eq!(reused, serial, "tick {tick} diverged");
             for (r, s) in reused.iter().zip(&serial) {
-                for (a, b) in r.tasks.values().zip(s.tasks.values()) {
+                for ((_, a), (_, b)) in r.tasks.iter().zip(&s.tasks) {
                     assert_eq!(a.speed_factor.to_bits(), b.speed_factor.to_bits());
                 }
             }
