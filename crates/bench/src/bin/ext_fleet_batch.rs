@@ -8,9 +8,11 @@
 //! fell back to scalar or the solver diverged). That batched stepping
 //! equals the scalar loop is tested in `tests/fleet_batch.rs`.
 //!
-//! `--quick` shrinks the fleet for smoke testing.
+//! `--quick` shrinks the fleet for smoke testing; `--ticks N` (at least 1)
+//! and `--churn P` (a probability in [0, 1]) override the run's length and
+//! churn. An unknown flag or a bad value exits 2 and writes nothing.
 
-use kelp_bench::cli::parse_flag;
+use kelp_bench::cli::{check_flags, parse_flag_in};
 use kelp_bench::exit_on_usage_error;
 use kelp_workloads::{FleetSim, FleetSimConfig};
 use serde::Serialize;
@@ -29,19 +31,22 @@ struct FleetBatchReport {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    exit_on_usage_error(check_flags(&args, &["--quick"], &["--ticks", "--churn"]));
     let quick = args.iter().any(|a| a == "--quick");
 
     // Full scale runs long enough that the cold solves (tick 0 solves every
     // machine, and early churn keeps producing never-seen phase combos)
     // amortize and the counters reflect steady-state fleet stepping.
     let (machines, default_ticks) = if quick { (64, 8) } else { (1000, 512) };
-    // A malformed value is a usage error (exit 2), never the default.
-    let ticks: usize = exit_on_usage_error(parse_flag(&args, "--ticks")).unwrap_or(default_ticks);
+    // A malformed or out-of-range value is a usage error (exit 2), never
+    // the default.
+    let ticks: usize =
+        exit_on_usage_error(parse_flag_in(&args, "--ticks", 1..)).unwrap_or(default_ticks);
     let mut config = FleetSimConfig {
         machines,
         ..FleetSimConfig::default()
     };
-    if let Some(churn) = exit_on_usage_error(parse_flag(&args, "--churn")) {
+    if let Some(churn) = exit_on_usage_error(parse_flag_in(&args, "--churn", 0.0..=1.0)) {
         config.churn_probability = churn;
     }
 

@@ -10,10 +10,12 @@
 //! quorum (holding at least 11 of the 12 band cells — see
 //! `kelp::experiments::fleet_faults`).
 //!
-//! `--quick` shrinks the fleet for smoke testing.
+//! `--quick` shrinks the fleet for smoke testing; `--machines N` and
+//! `--ticks N` (each at least 1) override its size. An unknown flag or a
+//! bad value exits 2 and writes nothing.
 
 use kelp::experiments::fleet_faults::{run_fleet_faults, FleetFaultsConfig, FleetFaultsResult};
-use kelp_bench::cli::{parse_flag, parse_jobs};
+use kelp_bench::cli::{check_flags, parse_flag_in, parse_jobs};
 use kelp_bench::exit_on_usage_error;
 use serde::Serialize;
 
@@ -29,6 +31,11 @@ struct FleetFaultsReport {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    exit_on_usage_error(check_flags(
+        &args,
+        &["--quick"],
+        &["--machines", "--ticks", "--jobs"],
+    ));
     let quick = args.iter().any(|a| a == "--quick");
 
     let mut config = if quick {
@@ -41,11 +48,12 @@ fn main() {
             ..FleetFaultsConfig::default()
         }
     };
-    // A malformed value is a usage error (exit 2), never the default.
-    if let Some(m) = exit_on_usage_error(parse_flag(&args, "--machines")) {
+    // A malformed or out-of-range value is a usage error (exit 2), never
+    // the default.
+    if let Some(m) = exit_on_usage_error(parse_flag_in(&args, "--machines", 1..)) {
         config.machines = m;
     }
-    if let Some(t) = exit_on_usage_error(parse_flag(&args, "--ticks")) {
+    if let Some(t) = exit_on_usage_error(parse_flag_in(&args, "--ticks", 1..)) {
         config.ticks = t;
     }
     if args.iter().any(|a| a == "--jobs") {

@@ -5,6 +5,7 @@
 
 use kelp::policy::PolicyKind;
 use kelp_workloads::{BatchKind, MlWorkloadKind};
+use std::ops::RangeBounds;
 
 /// A parsed `kelp-sim` invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,14 +172,48 @@ pub fn parse_flag<T: std::str::FromStr>(
         .map_err(|_| CliError::new(format!("bad {flag} value '{v}'")))
 }
 
+/// [`parse_flag`] for a value that must also lie in `range`: a value
+/// outside it (NaN included) is an error naming the flag and the range.
+pub fn parse_flag_in<T>(
+    args: &[String],
+    flag: &str,
+    range: impl RangeBounds<T> + std::fmt::Debug,
+) -> Result<Option<T>, CliError>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    match parse_flag::<T>(args, flag)? {
+        Some(v) if !range.contains(&v) => Err(CliError::new(format!(
+            "bad {flag} value '{v}' (must be in {range:?})"
+        ))),
+        parsed => Ok(parsed),
+    }
+}
+
+/// Rejects an argument vector (program name first) that holds anything
+/// but a binary's known flags: each of `switches` stands alone, each of
+/// `valued` takes the next argument as its value. The error names the
+/// first unknown argument and lists the known flags.
+pub fn check_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<(), CliError> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if !switches.contains(&arg.as_str()) {
+            let known: Vec<&str> = switches.iter().chain(valued).copied().collect();
+            return Err(CliError::new(format!(
+                "unknown flag '{arg}' (expected {})",
+                known.join(", ")
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Parses a `--jobs N` flag anywhere in an argument vector. Absent flag
 /// means serial (`1`); `--jobs 0` is rejected.
 pub fn parse_jobs(args: &[String]) -> Result<usize, CliError> {
-    match parse_flag(args, "--jobs")? {
-        None => Ok(1),
-        Some(0) => Err(CliError::new("--jobs must be > 0")),
-        Some(jobs) => Ok(jobs),
-    }
+    Ok(parse_flag_in(args, "--jobs", 1..)?.unwrap_or(1))
 }
 
 /// Parses a full argument vector (without the program name).
@@ -372,6 +407,36 @@ mod tests {
         assert_eq!(err.message(), "bad --machines value 'nope'");
         assert!(parse_flag::<usize>(&argv(&["--ticks"]), "--ticks").is_err());
         assert!(parse_flag::<usize>(&argv(&["--ticks", "-3"]), "--ticks").is_err());
+    }
+
+    #[test]
+    fn ranged_value_flags() {
+        let args = argv(&["bin", "--churn", "0.25", "--ticks", "0", "--rate", "NaN"]);
+        assert_eq!(
+            parse_flag_in::<f64>(&args, "--churn", 0.0..=1.0).unwrap(),
+            Some(0.25)
+        );
+        assert_eq!(parse_flag_in::<usize>(&args, "--jobs", 1..).unwrap(), None);
+        let err = parse_flag_in::<usize>(&args, "--ticks", 1..).unwrap_err();
+        assert_eq!(err.message(), "bad --ticks value '0' (must be in 1..)");
+        assert!(parse_flag_in::<f64>(&args, "--rate", 0.0..=1.0).is_err());
+        let over = argv(&["bin", "--churn", "7"]);
+        assert!(parse_flag_in::<f64>(&over, "--churn", 0.0..=1.0).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let known = |args: &[&str]| check_flags(&argv(args), &["--quick"], &["--ticks"]);
+        assert!(known(&["bin"]).is_ok());
+        assert!(known(&["bin", "--quick", "--ticks", "4"]).is_ok());
+        // A value is skipped even when it looks like a flag.
+        assert!(known(&["bin", "--ticks", "--quik"]).is_ok());
+        let err = known(&["bin", "--quik"]).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "unknown flag '--quik' (expected --quick, --ticks)"
+        );
+        assert!(known(&["bin", "--quick", "8"]).is_err());
     }
 
     #[test]

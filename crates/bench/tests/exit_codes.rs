@@ -1,6 +1,7 @@
 //! Exit codes of the generator binaries at their failure edges: a results
-//! write that fails exits 1 and names the file, and a malformed flag value
-//! exits 2 instead of falling back to the default.
+//! write that fails exits 1 and names the file, and a malformed or
+//! out-of-range flag value or an unknown flag exits 2 instead of falling
+//! back to the default.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -47,14 +48,19 @@ fn malformed_flag_values_exit_2() {
     let faults = env!("CARGO_BIN_EXE_ext_fleet_faults");
     let batch = env!("CARGO_BIN_EXE_ext_fleet_batch");
     let results = scratch("unused");
-    let cases: [(&str, &str, &str); 7] = [
+    let cases: [(&str, &str, &str); 12] = [
         (faults, "--machines", "nope"),
+        (faults, "--machines", "0"),
         (faults, "--ticks", "2x"),
+        (faults, "--ticks", "0"),
         (faults, "--jobs", "nope"),
         (faults, "--jobs", "0"),
         (batch, "--ticks", "-1"),
+        (batch, "--ticks", "0"),
         (batch, "--churn", "lots"),
         (batch, "--churn", ""),
+        (batch, "--churn", "7"),
+        (batch, "--churn", "NaN"),
     ];
     for (bin, flag, value) in cases {
         let out = run(bin, &["--quick", flag, value], &results);
@@ -70,6 +76,14 @@ fn malformed_flag_values_exit_2() {
     for (bin, flag) in [(faults, "--ticks"), (batch, "--churn")] {
         let out = run(bin, &["--quick", flag], &results);
         assert_eq!(out.status.code(), Some(2), "{bin} {flag}: {out:?}");
+    }
+    // A mistyped flag is named, not ignored: `--quik` alone would otherwise
+    // run at full scale.
+    for bin in [faults, batch] {
+        let out = run(bin, &["--quik"], &results);
+        assert_eq!(out.status.code(), Some(2), "{bin} --quik: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--quik"), "{bin} --quik: {stderr}");
     }
     assert!(!results.exists(), "a refused run wrote results");
 }

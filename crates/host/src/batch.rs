@@ -78,18 +78,16 @@ impl HostBatch {
     /// machine serially. Allocates the report vector; steady-state callers
     /// should reuse one through [`HostBatch::step_into`].
     pub fn step(&mut self, machines: &[HostMachine]) -> Vec<MachineReport> {
-        let mut reports: Vec<MachineReport> = (0..machines.len())
-            .map(|_| MachineReport::empty())
-            .collect();
+        let mut reports = vec![MachineReport::empty(); machines.len()];
         self.step_into(machines, &mut reports);
         reports
     }
 
     /// Steps every machine one tick, refreshing `reports` in place (one
-    /// slot per machine, same order). Every slot is fully overwritten with
-    /// a copy of its machine's report; slots from a previous tick of the
-    /// same fleet make that copy allocation-free. Bit-identical to
-    /// [`HostBatch::step`].
+    /// slot per machine, same order). Every slot ends up sharing its
+    /// machine's report rows; a slot that already shares them (a replayed
+    /// machine, with the slot from the previous tick) costs one pointer
+    /// check. Bit-identical to [`HostBatch::step`].
     ///
     /// # Panics
     ///

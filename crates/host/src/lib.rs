@@ -21,7 +21,7 @@ pub mod task;
 
 pub use batch::{HostBatch, HostBatchStats};
 pub use machine::{
-    Actuator, HostMachine, MachineLifecycle, MachineReport, SolveHealth, TaskStepResult,
+    Actuator, HostMachine, MachineLifecycle, MachineReport, ReportRows, SolveHealth, TaskStepResult,
 };
 pub use placement::{CpuAllocation, FleetPlacer, MemPolicy, PlacementId, SmtModel};
 pub use task::{HostTaskId, Priority, TaskSpec, ThreadProfile};

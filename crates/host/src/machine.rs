@@ -20,6 +20,8 @@ use kelp_mem::topology::{DomainId, SncMode};
 use kelp_mem::MemCounters;
 use std::cell::Ref;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 /// Contract check at the machine's public API boundary: an invalid spec is a
 /// bug in the calling experiment code, not a runtime condition, so failing
@@ -108,12 +110,11 @@ impl TaskStepResult {
     }
 }
 
-/// Result of one solved step for the whole machine.
-///
-/// Plain data: every row is `Copy`, so a same-shape [`Clone::clone_from`]
-/// is a handful of memcpys and never touches the allocator.
+/// The rows of one solved step for the whole machine: what a
+/// [`MachineReport`] shares. Built once per solved step and never changed
+/// after.
 #[derive(Debug, PartialEq)]
-pub struct MachineReport {
+pub struct ReportRows {
     /// Per-task results: the live tasks, in id order.
     pub tasks: Vec<(HostTaskId, TaskStepResult)>,
     /// Achieved rate per registered fixed flow in GB/s, indexed by flow id.
@@ -126,38 +127,7 @@ pub struct MachineReport {
     pub health: SolveHealth,
 }
 
-// Report rows stay plain data, so copying a report stays a memcpy: a
-// non-`Copy` field added to a row type fails the build here.
-const _: () = {
-    const fn assert_copy<T: Copy>() {}
-    assert_copy::<TaskStepResult>();
-    assert_copy::<kelp_mem::counters::DomainCounters>();
-    assert_copy::<kelp_mem::counters::SocketCounters>();
-};
-
-impl Clone for MachineReport {
-    fn clone(&self) -> Self {
-        MachineReport {
-            tasks: self.tasks.clone(),
-            flows: self.flows.clone(),
-            counters: self.counters.clone(),
-            converged: self.converged,
-            health: self.health,
-        }
-    }
-
-    /// Field-wise, so the row vectors reuse their buffers: allocation-free
-    /// whenever `self` already has room for `source`'s rows.
-    fn clone_from(&mut self, source: &Self) {
-        self.tasks.clone_from(&source.tasks);
-        self.flows.clone_from(&source.flows);
-        self.counters.clone_from(&source.counters);
-        self.converged.clone_from(&source.converged);
-        self.health.clone_from(&source.health);
-    }
-}
-
-impl MachineReport {
+impl ReportRows {
     /// The result for a task (zeros if unknown).
     pub fn task(&self, id: HostTaskId) -> TaskStepResult {
         self.tasks
@@ -165,19 +135,79 @@ impl MachineReport {
             .find(|(task, _)| *task == id)
             .map_or(TaskStepResult::zero(), |&(_, result)| result)
     }
+}
 
+/// Result of one solved step for the whole machine: an immutable, shared
+/// [`ReportRows`], read through `Deref` (`report.counters`,
+/// `report.task(id)`).
+///
+/// Rows never change once built, so two reports that share them are
+/// equal: `clone` shares the rows, and [`Clone::clone_from`] onto a slot
+/// that already shares the source's rows is one pointer check. The rows
+/// sit behind an `Arc`, not an `Rc`, so a machine stays `Send`.
+#[derive(PartialEq)]
+pub struct MachineReport {
+    rows: Arc<ReportRows>,
+}
+
+// A machine, report included, stays `Send`, so a thread can hand one to
+// another (DESIGN.md §3e): an `Rc` in the report fails the build here.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<HostMachine>();
+    assert_send::<MachineReport>();
+};
+
+impl Clone for MachineReport {
+    fn clone(&self) -> Self {
+        MachineReport {
+            rows: Arc::clone(&self.rows),
+        }
+    }
+
+    /// Re-points `self` at `source`'s rows, unless it already shares them.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.rows, &source.rows) {
+            self.rows = Arc::clone(&source.rows);
+        }
+    }
+}
+
+impl std::ops::Deref for MachineReport {
+    type Target = ReportRows;
+
+    fn deref(&self) -> &ReportRows {
+        &self.rows
+    }
+}
+
+impl fmt::Debug for MachineReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.rows, f)
+    }
+}
+
+impl From<ReportRows> for MachineReport {
+    fn from(rows: ReportRows) -> Self {
+        MachineReport {
+            rows: Arc::new(rows),
+        }
+    }
+}
+
+impl MachineReport {
     /// An empty report: no tasks or flows, zero counters, not converged.
     /// Useful as a placeholder slot for in-place stepping
-    /// ([`crate::HostBatch::step_into`]); the first real step overwrites it
-    /// wholesale.
+    /// ([`crate::HostBatch::step_into`]); the first real step replaces it.
     pub fn empty() -> Self {
-        MachineReport {
+        ReportRows {
             tasks: Vec::new(),
             flows: Vec::new(),
             counters: MemCounters::default(),
             converged: false,
             health: SolveHealth::SafeState,
         }
+        .into()
     }
 }
 
@@ -250,7 +280,8 @@ pub struct HostMachine {
     /// or solving at all.
     dirty: std::cell::Cell<bool>,
     /// The last step's report, lent out by [`HostMachine::step`]. Every
-    /// step leaves its report here; the machine is its only owner.
+    /// step leaves its report here; a served step shares its rows with
+    /// the memo entry it came from.
     report: std::cell::RefCell<MachineReport>,
     /// Whether `report` came from a serving step (solve or memo hit) and so
     /// is the adaptive-skip replay value. A down machine's safe-state
@@ -534,26 +565,26 @@ impl HostMachine {
     }
 
     /// Solves the memory system for the current configuration and returns
-    /// an owned copy of the report. A `Down` or `Recovering` machine
-    /// answers with the deterministic safe-state report instead of solving;
-    /// a failed solve walks the rescue / safe-state ladder (see
-    /// [`SolveHealth`]).
+    /// the report, which shares its rows with the machine's. A `Down` or
+    /// `Recovering` machine answers with the deterministic safe-state
+    /// report instead of solving; a failed solve walks the rescue /
+    /// safe-state ladder (see [`SolveHealth`]).
     pub fn solve(&self) -> MachineReport {
         self.step().clone()
     }
 
     /// [`HostMachine::solve`] refreshing a caller-owned report in place:
-    /// same report, stats, memo and replay state, and allocation-free once
-    /// `out` has room for the machine's rows.
+    /// same report, stats, memo and replay state. `out` ends up sharing the
+    /// machine's rows; when it already does (a replay), nothing is written.
     pub fn step_into(&self, out: &mut MachineReport) {
         out.clone_from(&self.step());
     }
 
     /// Advances the machine one step and lends out its report, which the
-    /// machine keeps until the next step. Nothing is copied unless the
-    /// step changes the report: a clean machine replays its last report by
-    /// bumping a counter, a memoized input copies the memo entry into the
-    /// owned report, and a solve moves its report in.
+    /// machine keeps until the next step. No rows are copied: a clean
+    /// machine replays its last report by bumping a counter, a memoized
+    /// input shares the memo entry's rows, and a solve moves its report in
+    /// (sharing it with the new memo entry).
     ///
     /// # Panics
     ///
@@ -619,13 +650,14 @@ impl HostMachine {
     /// a down machine (nothing was solved) and false when the ladder
     /// exhausted both solve attempts.
     fn safe_report(&self, converged: bool) -> MachineReport {
-        MachineReport {
+        ReportRows {
             tasks: self.zero_task_rows(),
             flows: vec![0.0; self.flows.len()],
             counters: MemCounters::default(),
             converged,
             health: SolveHealth::SafeState,
         }
+        .into()
     }
 
     /// One zero row per live task, in id order.
@@ -648,7 +680,7 @@ impl HostMachine {
     fn resolve_output(&self, lowered: &LoweredStep, output: &SolverOutput) -> MachineReport {
         self.absorb_stats(&output.stats);
         if output_is_healthy(output) {
-            return self.assemble(lowered, output);
+            return self.assemble(lowered, output).into();
         }
         let rescue = self.mem.solve_rescue(&lowered.input);
         self.absorb_stats(&rescue.stats);
@@ -662,9 +694,9 @@ impl HostMachine {
         // diverging rescue falls through to the safe state rather than
         // shipping a one-iteration estimate.
         if rescue.converged && finite_rates(&rescue) {
-            let mut report = self.assemble(lowered, &rescue);
-            report.health = SolveHealth::Rescued;
-            return report;
+            let mut rows = self.assemble(lowered, &rescue);
+            rows.health = SolveHealth::Rescued;
+            return rows.into();
         }
         {
             let mut stats = self.stats.borrow_mut();
@@ -781,10 +813,10 @@ impl HostMachine {
         }
     }
 
-    /// Serves a memoized step for `input`: copies the memo entry into the
-    /// machine's report (allocation-free when the shapes fit), counts the
-    /// memo hit and marks the step replayable. Returns `false` — and does
-    /// nothing — when `input` is not memoized.
+    /// Serves a memoized step for `input`: the machine's report shares the
+    /// memo entry's rows, the memo hit is counted and the step marked
+    /// replayable. Returns `false` — and does nothing — when `input` is not
+    /// memoized.
     fn memo_hit(&self, input: &SolverInput) -> bool {
         {
             let cache = self.cache.borrow();
@@ -816,7 +848,8 @@ impl HostMachine {
         self.scratch.borrow_mut()
     }
 
-    /// Inserts a computed report into the memo cache (FIFO eviction).
+    /// Inserts a computed report into the memo cache (FIFO eviction); the
+    /// entry shares the report's rows.
     fn memo_put(&self, input: &SolverInput, report: &MachineReport) {
         if self.tuning.memo {
             let mut cache = self.cache.borrow_mut();
@@ -868,9 +901,9 @@ impl HostMachine {
         std::mem::take(&mut *self.scratch.borrow_mut())
     }
 
-    /// Aggregates a solver output into the per-task machine report (step 4
-    /// of a solve).
-    fn assemble(&self, lowered: &LoweredStep, output: &SolverOutput) -> MachineReport {
+    /// Aggregates a solver output into the per-task report rows (step 4 of
+    /// a solve).
+    fn assemble(&self, lowered: &LoweredStep, output: &SolverOutput) -> ReportRows {
         let LoweredStep { keys, sub_eff, .. } = lowered;
         // 4. Aggregate sub-task results per task. Lowering only emits
         //    sub-tasks of live tasks, so every key has a row.
@@ -898,7 +931,7 @@ impl HostMachine {
             }
         }
 
-        MachineReport {
+        ReportRows {
             tasks: results,
             flows: output.fixed_flow_gbps.clone(),
             counters: output.counters.clone(),
@@ -1221,8 +1254,60 @@ mod tests {
                 let mut refreshed = dst.clone();
                 refreshed.clone_from(src);
                 assert_eq!(refreshed, src.clone(), "clone_from {j} into {i}");
+                assert!(
+                    std::ptr::eq::<ReportRows>(&*refreshed, &**src),
+                    "clone_from {j} into {i} must share the source's rows"
+                );
             }
         }
+        for (i, src) in shapes.iter().enumerate() {
+            let mut shared = src.clone();
+            let before: *const ReportRows = &*shared;
+            shared.clone_from(src);
+            assert!(
+                std::ptr::eq(before, &*shared),
+                "clone_from onto its own clone moved report {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn solves_and_memo_hits_share_the_memo_entry_rows() {
+        let mut m = machine(SncMode::Disabled);
+        let id = m.add_task(
+            stream_spec(4),
+            vec![CpuAllocation::local(DomainId::new(0, 0), 4)],
+        );
+        // The rows of `m`'s report, and of the memo entry for its current
+        // configuration.
+        let rows_and_entry = |m: &HostMachine| {
+            let report: *const ReportRows = &**m.step();
+            let input = m.lower().input;
+            let memo = m.memo_snapshot();
+            let (_, entry) = memo
+                .iter()
+                .find(|(key, _)| *key == input)
+                .expect("a served configuration is memoized");
+            (report, &**entry as *const ReportRows)
+        };
+        // A computed solve shares its rows with the entry it memoizes.
+        let (solved, entry) = rows_and_entry(&m);
+        assert!(std::ptr::eq(solved, entry));
+        m.set_intensity(id, 0.5);
+        let (other, _) = rows_and_entry(&m);
+        assert!(!std::ptr::eq(other, solved));
+        // Back to the first configuration: a memo hit, served by sharing
+        // the entry's rows rather than copying them.
+        m.set_intensity(id, 1.0);
+        let hits = m.solve_stats().memo_hits;
+        let (hit, entry) = rows_and_entry(&m);
+        assert_eq!(
+            m.solve_stats().memo_hits,
+            hits + 1,
+            "the step was a memo hit"
+        );
+        assert!(std::ptr::eq(hit, entry));
+        assert!(std::ptr::eq(hit, solved));
     }
 
     #[test]

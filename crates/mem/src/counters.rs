@@ -41,7 +41,7 @@ pub struct SocketCounters {
 }
 
 /// Full counter snapshot from one solver step.
-#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MemCounters {
     /// Per-domain counters, in machine domain order.
     pub domains: Vec<DomainCounters>,
@@ -51,27 +51,6 @@ pub struct MemCounters {
     pub upi_gbps: f64,
     /// Cross-socket link utilization in `[0, 1]`.
     pub upi_utilization: f64,
-}
-
-impl Clone for MemCounters {
-    fn clone(&self) -> Self {
-        MemCounters {
-            domains: self.domains.clone(),
-            sockets: self.sockets.clone(),
-            upi_gbps: self.upi_gbps,
-            upi_utilization: self.upi_utilization,
-        }
-    }
-
-    /// Allocation-free when `source` has the same shape: the per-domain and
-    /// per-socket vectors reuse their buffers (`Vec::clone_from`), and their
-    /// rows are `Copy`, so a same-shape refresh is two memcpys.
-    fn clone_from(&mut self, source: &Self) {
-        self.domains.clone_from(&source.domains);
-        self.sockets.clone_from(&source.sockets);
-        self.upi_gbps = source.upi_gbps;
-        self.upi_utilization = source.upi_utilization;
-    }
 }
 
 impl MemCounters {

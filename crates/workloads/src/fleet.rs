@@ -270,11 +270,11 @@ impl FleetSim {
     }
 
     /// [`FleetSim::step_batched`] refreshing a caller-owned report vector
-    /// in place: `out` is resized to one slot per machine and every slot is
-    /// fully overwritten. Passing the same vector every tick keeps the
-    /// steady-state adaptive-skip refresh off the allocator, which is where
-    /// the batch path's fleet-scale throughput comes from. `jobs` is
-    /// ignored, as in [`FleetSim::step_batched`].
+    /// in place: `out` is resized to one slot per machine and every slot
+    /// is pointed at its machine's report rows. Passing the same vector
+    /// every tick makes an adaptive skip's refresh one pointer check, which
+    /// is where the batch path's fleet-scale throughput comes from. `jobs`
+    /// is ignored, as in [`FleetSim::step_batched`].
     pub fn step_batched_into(&mut self, _jobs: usize, out: &mut Vec<MachineReport>) {
         let n = self.machines.len();
         if out.len() != n {

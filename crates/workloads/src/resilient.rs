@@ -383,9 +383,9 @@ impl ResilientFleet {
 
     /// One tick through the batched SoA path: identical control flow, with
     /// one persistent [`HostBatch`] stepping every machine on the calling
-    /// thread. Bit-identical to [`ResilientFleet::tick_serial`] on the same
-    /// fleet state, including crash and restart ticks. `jobs` is ignored,
-    /// as in [`crate::FleetSim::step_batched`].
+    /// thread. Bit-identical to [`ResilientFleet::tick_serial`], crash and
+    /// restart ticks included. The reports share the machines' rows, so a
+    /// tick copies one pointer per machine. `jobs` is ignored.
     pub fn tick_batched(&mut self, _jobs: usize) -> Vec<MachineReport> {
         self.begin_tick();
         let n = self.machines.len();

@@ -15,6 +15,19 @@ echo "== kelp_benchmark self-tests =="
 # simulator API change that would break it.
 cargo test -q --offline --locked --manifest-path crates/bench/src/bin/kelp_benchmark/Cargo.toml
 
+echo "== kelp_benchmark pins =="
+# One short benchmark run per workload whose output checks nothing else in
+# tier-1 makes: the seed-0 work counters pinned in expected.json
+# (solver_cold, fleet_steady), the fleet fault matrix against
+# results/bench_fleet_faults.json, and every round equal to the warm-up
+# round. A failed check exits 1 (pipefail keeps it through `tail`). The
+# sweeps' checks repeat the regenerate-and-diff step below.
+for workload in solver_cold fleet_steady fleet_faults; do
+  cargo run --release -q --offline --locked \
+    --manifest-path crates/bench/src/bin/kelp_benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 0 --seconds 0.01 | tail -n 1
+done
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -1,8 +1,8 @@
 //! Seeded property test for the machine-owned step report.
 //!
 //! A [`HostMachine`] keeps its last step's report and lends it out through
-//! [`HostMachine::step`]; [`HostMachine::step_into`] copies it into a
-//! caller's buffer and [`HostBatch::step_into`] into a fleet slot. Three
+//! [`HostMachine::step`]; [`HostMachine::step_into`] shares its rows with a
+//! caller's buffer and [`HostBatch::step_into`] with a fleet slot. Three
 //! twin machines driven through the same random sequence of mutations —
 //! one per path — must agree at every tick on the report, the solve stats
 //! and the memo contents. The sequences mix idle ticks (replays), revisited
@@ -13,7 +13,7 @@
 use kelp_host::machine::FlowId;
 use kelp_host::{
     CpuAllocation, HostBatch, HostBatchStats, HostMachine, HostTaskId, MachineReport, Priority,
-    TaskSpec, ThreadProfile,
+    ReportRows, TaskSpec, ThreadProfile,
 };
 use kelp_mem::solver::{FixedFlow, SolverTuning};
 use kelp_mem::topology::{DomainId, MachineSpec, SncMode, SocketId};
@@ -194,4 +194,35 @@ fn lent_copied_and_batched_reports_agree_at_every_tick() {
             && paths.lane_fallbacks > 0,
         "{paths:?}"
     );
+}
+
+#[test]
+fn clean_machines_keep_their_rows_on_every_tick() {
+    let mut rng = SimRng::seed_from(0x5A3E_D0C5);
+    let (lent, _, _) = arb_machine(&mut rng);
+    let fleet: Vec<HostMachine> = (0..4).map(|_| arb_machine(&mut rng).0).collect();
+    let rows = |report: &MachineReport| -> *const ReportRows { &**report };
+
+    // Through `step()`: the first tick solves, every later one replays the
+    // report the machine already holds.
+    let first = rows(&lent.step());
+    let mut slots = vec![MachineReport::empty(); fleet.len()];
+    let mut batch = HostBatch::new();
+    batch.step_into(&fleet, &mut slots);
+    let firsts: Vec<*const ReportRows> = slots.iter().map(rows).collect();
+    for tick in 1..8 {
+        assert!(
+            std::ptr::eq(rows(&lent.step()), first),
+            "tick {tick}: a clean machine's rows moved"
+        );
+        batch.step_into(&fleet, &mut slots);
+        for (i, slot) in slots.iter().enumerate() {
+            assert!(
+                std::ptr::eq(rows(slot), firsts[i]),
+                "tick {tick}: slot {i} of an all-clean batch was rewritten"
+            );
+            assert!(std::ptr::eq(rows(&fleet[i].step()), firsts[i]));
+        }
+    }
+    assert_eq!(batch.stats().adaptive_skips, 7 * fleet.len() as u64);
 }
