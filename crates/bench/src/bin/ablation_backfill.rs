@@ -4,8 +4,9 @@ use kelp::experiments::ablation;
 use kelp::report::Table;
 
 fn main() {
-    let config = kelp_bench::config_from_args();
-    let runner = kelp_bench::runner_from_args();
+    let args = kelp_bench::checked_args(&["--quick", "--no-cache"], &["--jobs"]);
+    let config = kelp_bench::config_from(&args);
+    let runner = kelp_bench::runner_from(&args);
     let rows = ablation::backfill_ablation_with(&runner, &config);
     let mut t = Table::new(
         "Ablation — backfilling (KP) vs subdomains only (KP-SD), CNN1 host",

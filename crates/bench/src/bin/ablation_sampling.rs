@@ -4,8 +4,9 @@ use kelp::experiments::ablation;
 use kelp::report::Table;
 
 fn main() {
-    let config = kelp_bench::config_from_args();
-    let runner = kelp_bench::runner_from_args();
+    let args = kelp_bench::checked_args(&["--quick", "--no-cache"], &["--jobs"]);
+    let config = kelp_bench::config_from(&args);
+    let runner = kelp_bench::runner_from(&args);
     let points = ablation::sampling_sweep_with(&runner, &[20, 50, 100, 200], &config);
     let mut t = Table::new(
         "Ablation — Kelp sampling period (CNN1 + Stitch x4)",

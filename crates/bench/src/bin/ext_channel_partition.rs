@@ -8,12 +8,14 @@
 //! hardware contributes beyond pure bandwidth isolation.
 
 use kelp::driver::Experiment;
+use kelp::experiments::standalone_reference_with;
 use kelp::policy::PolicyKind;
 use kelp::report::Table;
+use kelp::runner::Runner;
 use kelp_workloads::{BatchKind, BatchWorkload, MlWorkloadKind};
 
 fn main() {
-    let config = kelp_bench::config_from_args();
+    let config = kelp_bench::config_from(&kelp_bench::checked_args(&["--quick"], &[]));
     let mut t = Table::new(
         "Kelp on SNC vs Kelp on channel partitioning (ML perf / LP throughput)",
         &["Mix", "KP (SNC)", "MCP (channel part.)"],
@@ -23,7 +25,7 @@ fn main() {
         (MlWorkloadKind::Cnn2, BatchKind::Stream, 16),
         (MlWorkloadKind::Rnn1, BatchKind::Stitch, 16),
     ] {
-        let standalone = kelp::experiments::standalone_reference(ml, &config);
+        let standalone = standalone_reference_with(&Runner::serial(), ml, &config);
         let run = |policy: PolicyKind| {
             let r = Experiment::builder(ml, policy)
                 .add_cpu_workload(BatchWorkload::new(cpu, threads))

@@ -6,14 +6,16 @@
 //! more CPU throughput than CoreThrottle or Kelp.
 
 use kelp::driver::Experiment;
+use kelp::experiments::standalone_reference_with;
 use kelp::policy::PolicyKind;
 use kelp::report::Table;
+use kelp::runner::Runner;
 use kelp_workloads::{BatchKind, BatchWorkload, MlWorkloadKind};
 
 fn main() {
-    let config = kelp_bench::config_from_args();
+    let config = kelp_bench::config_from(&kelp_bench::checked_args(&["--quick"], &[]));
     let ml = MlWorkloadKind::Cnn1;
-    let standalone = kelp::experiments::standalone_reference(ml, &config);
+    let standalone = standalone_reference_with(&Runner::serial(), ml, &config);
     let mut t = Table::new(
         "Extension §VI-D — FineGrained (MBA-style) vs paper configurations (CNN1 + Stream)",
         &["Policy", "ML perf (norm)", "CPU throughput (norm to BL)"],

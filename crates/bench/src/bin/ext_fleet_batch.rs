@@ -12,7 +12,7 @@
 //! and `--churn P` (a probability in [0, 1]) override the run's length and
 //! churn. An unknown flag or a bad value exits 2 and writes nothing.
 
-use kelp_bench::cli::{check_flags, parse_flag_in};
+use kelp_bench::cli::parse_flag_in;
 use kelp_bench::exit_on_usage_error;
 use kelp_workloads::{FleetSim, FleetSimConfig};
 use serde::Serialize;
@@ -30,8 +30,7 @@ struct FleetBatchReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    exit_on_usage_error(check_flags(&args, &["--quick"], &["--ticks", "--churn"]));
+    let args = kelp_bench::checked_args(&["--quick"], &["--ticks", "--churn"]);
     let quick = args.iter().any(|a| a == "--quick");
 
     // Full scale runs long enough that the cold solves (tick 0 solves every

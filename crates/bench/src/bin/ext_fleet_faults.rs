@@ -15,7 +15,7 @@
 //! bad value exits 2 and writes nothing.
 
 use kelp::experiments::fleet_faults::{run_fleet_faults, FleetFaultsConfig, FleetFaultsResult};
-use kelp_bench::cli::{check_flags, parse_flag_in, parse_jobs};
+use kelp_bench::cli::{parse_flag_in, parse_jobs};
 use kelp_bench::exit_on_usage_error;
 use serde::Serialize;
 
@@ -30,12 +30,7 @@ struct FleetFaultsReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    exit_on_usage_error(check_flags(
-        &args,
-        &["--quick"],
-        &["--machines", "--ticks", "--jobs"],
-    ));
+    let args = kelp_bench::checked_args(&["--quick"], &["--machines", "--ticks", "--jobs"]);
     let quick = args.iter().any(|a| a == "--quick");
 
     let mut config = if quick {

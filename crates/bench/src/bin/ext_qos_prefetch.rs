@@ -8,13 +8,15 @@
 
 use kelp::driver::Experiment;
 use kelp::experiments::backpressure::FixedPrefetchPolicy;
+use kelp::experiments::standalone_reference_with;
 use kelp::policy::PolicyKind;
 use kelp::report::Table;
+use kelp::runner::Runner;
 use kelp_mem::AdaptivePrefetch;
 use kelp_workloads::{BatchKind, BatchWorkload, MlWorkloadKind};
 
 fn main() {
-    let config = kelp_bench::config_from_args();
+    let config = kelp_bench::config_from(&kelp_bench::checked_args(&["--quick"], &[]));
     let mut t = Table::new(
         "Extension §VI-B — QoS-aware prefetching (subdomains, aggressor H): ML perf / LP throughput",
         &["Workload", "unmanaged", "Kelp SW toggling", "HW adaptive"],
@@ -24,7 +26,7 @@ fn main() {
         MlWorkloadKind::Cnn1,
         MlWorkloadKind::Cnn2,
     ] {
-        let standalone = kelp::experiments::standalone_reference(ml, &config);
+        let standalone = standalone_reference_with(&Runner::serial(), ml, &config);
         let run = |disabled: f64, hw: Option<AdaptivePrefetch>| {
             let mut b = Experiment::builder(ml, PolicyKind::KelpSubdomain)
                 .custom_policy(Box::new(FixedPrefetchPolicy::with_disabled_fraction(

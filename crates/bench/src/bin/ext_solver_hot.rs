@@ -66,7 +66,8 @@ fn run_workload(workload: &str, mode: &str, specs: &[RunSpec], tuning: SolverTun
 
 fn main() {
     let config = ExperimentConfig::quick();
-    let strict = std::env::args().any(|a| a == "--strict");
+    let args = kelp_bench::checked_args(&["--strict"], &[]);
+    let strict = args.iter().any(|a| a == "--strict");
 
     let workloads: Vec<(&str, Vec<RunSpec>)> = vec![
         ("timeline", timeline::specs(&config)),

@@ -1,57 +1,48 @@
 //! # kelp-bench
 //!
-//! Shared plumbing for the figure-regeneration binaries (one per table and
-//! figure in the paper's evaluation) and the Criterion benchmarks.
-//!
-//! Run a single figure:
-//!
-//! ```text
-//! cargo run --release -p kelp-bench --bin fig05_sensitivity
-//! cargo run --release -p kelp-bench --bin fig13_overall -- --quick
-//! ```
-//!
-//! Regenerate everything (writes `results/*.json`):
+//! Shared plumbing for the reproduction binaries. `repro_all` regenerates
+//! every table and figure of the paper's evaluation and writes every
+//! `results/` file computed from experiment runs:
 //!
 //! ```text
 //! cargo run --release -p kelp-bench --bin repro_all
+//! cargo run --release -p kelp-bench --bin repro_all -- --quick --jobs 2
 //! ```
+//!
+//! The `ext_solver_hot`, `ext_fleet_batch` and `ext_fleet_faults`
+//! macro-benchmarks write the three `results/bench_*.json` files; the
+//! `ablation_*` and the other `ext_*` binaries only print.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod timing;
 
 use kelp::driver::ExperimentConfig;
 use kelp::report::Table;
-use kelp_simcore::time::SimDuration;
 use serde::Serialize;
 use std::path::Path;
 
-/// Parses the common CLI flags shared by every figure binary.
-///
-/// `--quick` selects the fast test configuration; `--long` doubles the
-/// default measurement window for lower-variance numbers.
-pub fn config_from_args() -> ExperimentConfig {
+/// The command line, checked against a binary's known flags: each of
+/// `switches` stands alone and each of `valued` takes a value. An unknown
+/// flag exits 2 naming it ([`cli::check_flags`]).
+pub fn checked_args(switches: &[&str], valued: &[&str]) -> Vec<String> {
     let args: Vec<String> = std::env::args().collect();
-    config_from(&args)
+    exit_on_usage_error(cli::check_flags(&args, switches, valued));
+    args
 }
 
-/// Testable core of [`config_from_args`].
+/// The experiment configuration an argument vector selects: `--quick`
+/// selects the fast test configuration, and its absence the default one.
 pub fn config_from(args: &[String]) -> ExperimentConfig {
     if args.iter().any(|a| a == "--quick") {
         ExperimentConfig::quick()
-    } else if args.iter().any(|a| a == "--long") {
-        ExperimentConfig {
-            duration: SimDuration::from_millis(5000),
-            ..ExperimentConfig::default()
-        }
     } else {
         ExperimentConfig::default()
     }
 }
 
-/// Directory where `repro_all` and the figure binaries drop JSON results.
+/// Directory where the binaries drop their results.
 /// `KELP_RESULTS_DIR` overrides the default `results/` so smoke runs and
 /// the tier-1 regenerate-and-diff step can write somewhere disposable
 /// instead of clobbering the checked-in default-config artifacts.
@@ -102,15 +93,10 @@ pub fn cache_dir() -> std::path::PathBuf {
     results_dir().join("cache")
 }
 
-/// Builds the run engine from the common CLI flags: `--jobs N` selects the
-/// worker-pool width (default serial) and `--no-cache` disables the
-/// content-addressed result cache under [`cache_dir`].
-pub fn runner_from_args() -> kelp::runner::Runner {
-    let args: Vec<String> = std::env::args().collect();
-    runner_from(&args)
-}
-
-/// Testable core of [`runner_from_args`].
+/// Builds the run engine an argument vector selects: `--jobs N` selects
+/// the worker-pool width (default serial; a bad value exits 2) and
+/// `--no-cache` disables the content-addressed result cache under
+/// [`cache_dir`].
 pub fn runner_from(args: &[String]) -> kelp::runner::Runner {
     let jobs = exit_on_usage_error(cli::parse_jobs(args));
     let runner = kelp::runner::Runner::new(jobs);
@@ -139,11 +125,5 @@ mod tests {
     #[test]
     fn default_is_full_config() {
         assert_eq!(config_from(&argv(&[])), ExperimentConfig::default());
-    }
-
-    #[test]
-    fn long_flag_extends_duration() {
-        let c = config_from(&argv(&["--long"]));
-        assert!(c.duration > ExperimentConfig::default().duration);
     }
 }

@@ -78,12 +78,37 @@ fn malformed_flag_values_exit_2() {
         assert_eq!(out.status.code(), Some(2), "{bin} {flag}: {out:?}");
     }
     // A mistyped flag is named, not ignored: `--quik` alone would otherwise
-    // run at full scale.
-    for bin in [faults, batch] {
+    // run at full scale. `kelp_sim` has a parser of its own.
+    for bin in [
+        env!("CARGO_BIN_EXE_repro_all"),
+        env!("CARGO_BIN_EXE_ablation_backfill"),
+        env!("CARGO_BIN_EXE_ablation_sampling"),
+        env!("CARGO_BIN_EXE_ablation_watermarks"),
+        env!("CARGO_BIN_EXE_ext_channel_partition"),
+        env!("CARGO_BIN_EXE_ext_finegrained"),
+        env!("CARGO_BIN_EXE_ext_qos_prefetch"),
+        env!("CARGO_BIN_EXE_ext_targeted_distress"),
+        env!("CARGO_BIN_EXE_ext_solver_hot"),
+        faults,
+        batch,
+    ] {
         let out = run(bin, &["--quik"], &results);
         assert_eq!(out.status.code(), Some(2), "{bin} --quik: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("--quik"), "{bin} --quik: {stderr}");
+    }
+    // Every binary that takes `--jobs` refuses a malformed value.
+    for bin in [
+        env!("CARGO_BIN_EXE_repro_all"),
+        env!("CARGO_BIN_EXE_ablation_backfill"),
+        env!("CARGO_BIN_EXE_ablation_sampling"),
+        env!("CARGO_BIN_EXE_ablation_watermarks"),
+        faults,
+    ] {
+        let out = run(bin, &["--quick", "--jobs", "nope"], &results);
+        assert_eq!(out.status.code(), Some(2), "{bin} --jobs nope: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--jobs"), "{bin} --jobs nope: {stderr}");
     }
     assert!(!results.exists(), "a refused run wrote results");
 }

@@ -1,10 +1,10 @@
 //! Ablations of Kelp's design choices.
 //!
-//! * [`sampling_sweep`] — the §IV-D claim that "the effectiveness of Kelp is
-//!   not sensitive to the sampling frequency".
-//! * [`backfill_ablation`] — what §IV-C's backfilling buys over subdomains
-//!   alone, per CPU workload.
-//! * [`saturation_watermark_sweep`] — how sensitive Kelp is to the one
+//! * [`sampling_sweep_with`] — the §IV-D claim that "the effectiveness of
+//!   Kelp is not sensitive to the sampling frequency".
+//! * [`backfill_ablation_with`] — what §IV-C's backfilling buys over
+//!   subdomains alone, per CPU workload.
+//! * [`saturation_watermark_sweep_with`] — how sensitive Kelp is to the one
 //!   watermark the paper's prior work did not have: the `FAST_ASSERTED`
 //!   saturation threshold.
 
@@ -74,11 +74,6 @@ pub fn sampling_sweep_with(
         periods_ms,
         &runner.run_batch(&sampling_specs(periods_ms, base)),
     )
-}
-
-/// Serial convenience wrapper around [`sampling_sweep_with`].
-pub fn sampling_sweep(periods_ms: &[u64], base: &ExperimentConfig) -> Vec<SamplingPoint> {
-    sampling_sweep_with(&Runner::serial(), periods_ms, base)
 }
 
 /// Spread of the ML outcome across a sampling sweep (max - min of the
@@ -162,11 +157,6 @@ pub fn backfill_ablation_with(runner: &Runner, config: &ExperimentConfig) -> Vec
     backfill_fold(&runner.run_batch(&backfill_specs(config)))
 }
 
-/// Serial convenience wrapper around [`backfill_ablation_with`].
-pub fn backfill_ablation(config: &ExperimentConfig) -> Vec<BackfillRow> {
-    backfill_ablation_with(&Runner::serial(), config)
-}
-
 /// One watermark-sensitivity point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WatermarkPoint {
@@ -176,17 +166,6 @@ pub struct WatermarkPoint {
     pub ml_norm: f64,
     /// Total CPU throughput in units/s.
     pub cpu_throughput: f64,
-}
-
-/// Sweeps Kelp's saturation high-watermark on the CNN1 + DRAM-aggressor mix.
-///
-/// Low values throttle batch prefetchers at the slightest pressure (max ML
-/// protection, min CPU throughput); high values tolerate saturation.
-pub fn saturation_watermark_sweep(
-    sat_highs: &[f64],
-    config: &ExperimentConfig,
-) -> Vec<WatermarkPoint> {
-    saturation_watermark_sweep_with(&Runner::serial(), sat_highs, config)
 }
 
 /// Enumerates the watermark sweep: the CNN1 standalone reference, then one
@@ -222,7 +201,11 @@ pub fn watermark_fold(sat_highs: &[f64], records: &[RunRecord]) -> Vec<Watermark
         .collect()
 }
 
-/// Sweeps Kelp's saturation high-watermark through the given engine.
+/// Sweeps Kelp's saturation high-watermark on the CNN1 + DRAM-aggressor
+/// mix through the given engine.
+///
+/// Low values throttle batch prefetchers at the slightest pressure (max ML
+/// protection, min CPU throughput); high values tolerate saturation.
 pub fn saturation_watermark_sweep_with(
     runner: &Runner,
     sat_highs: &[f64],
@@ -257,7 +240,7 @@ mod tests {
     #[test]
     fn sampling_period_is_not_load_bearing() {
         // The paper's §IV-D insensitivity claim, at quick scale.
-        let points = sampling_sweep(&[20, 80], &ExperimentConfig::quick());
+        let points = sampling_sweep_with(&Runner::serial(), &[20, 80], &ExperimentConfig::quick());
         assert_eq!(points.len(), 2);
         assert!(
             sampling_spread(&points) < 0.08,
@@ -268,7 +251,7 @@ mod tests {
 
     #[test]
     fn backfill_recovers_cpu_without_hurting_ml() {
-        let rows = backfill_ablation(&ExperimentConfig::quick());
+        let rows = backfill_ablation_with(&Runner::serial(), &ExperimentConfig::quick());
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(
@@ -290,7 +273,11 @@ mod tests {
     #[test]
     fn tight_saturation_watermark_protects_loose_one_does_not() {
         // The loose end must be unreachable (duty caps at 1.0).
-        let points = saturation_watermark_sweep(&[0.05, f64::MAX], &ExperimentConfig::quick());
+        let points = saturation_watermark_sweep_with(
+            &Runner::serial(),
+            &[0.05, f64::MAX],
+            &ExperimentConfig::quick(),
+        );
         assert_eq!(points.len(), 2);
         let tight = points[0];
         let loose = points[1];

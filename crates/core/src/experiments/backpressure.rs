@@ -270,11 +270,6 @@ pub fn figure7_with(runner: &Runner, config: &ExperimentConfig) -> BackpressureR
     fold(&runner.run_batch(&specs(config)))
 }
 
-/// Serial convenience wrapper around [`figure7_with`].
-pub fn figure7(config: &ExperimentConfig) -> BackpressureResult {
-    figure7_with(&Runner::serial(), config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,7 +298,8 @@ mod tests {
         // the key Figure 7 claim.
         let config = ExperimentConfig::quick();
         let ml = MlWorkloadKind::Cnn1;
-        let standalone = crate::experiments::standalone_reference(ml, &config);
+        let standalone =
+            crate::experiments::standalone_reference_with(&Runner::serial(), ml, &config);
         let run = |disabled: f64| {
             Experiment::builder(ml, PolicyKind::KelpSubdomain)
                 .custom_policy(Box::new(FixedPrefetchPolicy::with_disabled_fraction(

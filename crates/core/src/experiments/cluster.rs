@@ -135,19 +135,6 @@ pub fn monte_carlo_slowdown(
     total / trials as f64
 }
 
-/// Runs the tail-amplification study: per-node measurements for each policy,
-/// then the cluster extrapolation.
-///
-/// Uses CNN3 (the paper's distributed parameter-server workload) with the
-/// Stream aggressor as the contended mix.
-pub fn tail_amplification(
-    policies: &[PolicyKind],
-    cluster: &ClusterConfig,
-    config: &ExperimentConfig,
-) -> ClusterResult {
-    tail_amplification_with(&Runner::serial(), policies, cluster, config)
-}
-
 /// Enumerates the per-node measurements: the CNN3 standalone reference,
 /// then one contended (CNN3 + Stream) run per policy.
 pub fn specs(policies: &[PolicyKind], config: &ExperimentConfig) -> Vec<RunSpec> {
@@ -204,7 +191,11 @@ pub fn fold(
     }
 }
 
-/// Runs the tail-amplification study through the given engine.
+/// Runs the tail-amplification study through the given engine: per-node
+/// measurements for each policy, then the cluster extrapolation.
+///
+/// Uses CNN3 (the paper's distributed parameter-server workload) with the
+/// Stream aggressor as the contended mix.
 pub fn tail_amplification_with(
     runner: &Runner,
     policies: &[PolicyKind],
@@ -268,7 +259,8 @@ mod tests {
             trials: 500,
             ..ClusterConfig::default()
         };
-        let r = tail_amplification(
+        let r = tail_amplification_with(
+            &Runner::serial(),
             &[PolicyKind::Baseline, PolicyKind::Kelp],
             &cluster,
             &ExperimentConfig::quick(),

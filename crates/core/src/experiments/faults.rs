@@ -305,11 +305,6 @@ pub fn run_fault_matrix_with(runner: &Runner, config: &ExperimentConfig) -> Faul
     fold(&runner.run_batch(&specs(config)))
 }
 
-/// Serial convenience wrapper around [`run_fault_matrix_with`].
-pub fn run_fault_matrix(config: &ExperimentConfig) -> FaultMatrixResult {
-    run_fault_matrix_with(&Runner::serial(), config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -98,20 +98,14 @@ pub fn knee_sweep_with(runner: &Runner, offered: &[f64], config: &ExperimentConf
     fold(offered, &runner.run_batch(&specs(offered, config)))
 }
 
-/// Serial convenience wrapper around [`knee_sweep_with`].
-pub fn knee_sweep(offered: &[f64], config: &ExperimentConfig) -> KneeResult {
-    knee_sweep_with(&Runner::serial(), offered, config)
-}
+/// The default offered loads: 100–460 QPS in 40-QPS steps.
+pub const DEFAULT_OFFERED_QPS: [f64; 10] = [
+    100.0, 140.0, 180.0, 220.0, 260.0, 300.0, 340.0, 380.0, 420.0, 460.0,
+];
 
-/// The default sweep: 100–460 QPS in 40-QPS steps.
-pub fn default_sweep(config: &ExperimentConfig) -> KneeResult {
-    default_sweep_with(&Runner::serial(), config)
-}
-
-/// [`default_sweep`] through the given engine.
+/// The default sweep ([`DEFAULT_OFFERED_QPS`]) through the given engine.
 pub fn default_sweep_with(runner: &Runner, config: &ExperimentConfig) -> KneeResult {
-    let offered: Vec<f64> = (0..10).map(|i| 100.0 + 40.0 * i as f64).collect();
-    knee_sweep_with(runner, &offered, config)
+    knee_sweep_with(runner, &DEFAULT_OFFERED_QPS, config)
 }
 
 #[cfg(test)]
@@ -121,7 +115,7 @@ mod tests {
     #[test]
     fn tail_grows_past_the_knee_and_target_sits_before_it() {
         let cfg = ExperimentConfig::quick();
-        let r = knee_sweep(&[150.0, 300.0, 440.0], &cfg);
+        let r = knee_sweep_with(&Runner::serial(), &[150.0, 300.0, 440.0], &cfg);
         assert_eq!(r.points.len(), 3);
         // Light load: achieved == offered, low tail.
         assert!((r.points[0].achieved_qps - 150.0).abs() < 25.0);

@@ -260,44 +260,32 @@ pub fn run_mix_sweep_with(
     )
 }
 
-/// Serial convenience wrapper around [`run_mix_sweep_with`].
-pub fn run_mix_sweep(
-    ml: MlWorkloadKind,
-    cpu: BatchKind,
-    params: &[usize],
-    config: &ExperimentConfig,
-) -> MixSweepResult {
-    run_mix_sweep_with(&Runner::serial(), ml, cpu, params, config)
-}
+/// Figure 9's sweep (and 11's): 1–6 Stitch instances.
+pub const FIGURE9_INSTANCES: [usize; 6] = [1, 2, 3, 4, 5, 6];
 
-/// Figure 9 (and 11): CNN1 + Stitch, 1–6 instances.
-pub fn figure9(config: &ExperimentConfig) -> MixSweepResult {
-    figure9_with(&Runner::serial(), config)
-}
+/// Figure 10's sweep (and 12's): 2–16 CPUML threads.
+pub const FIGURE10_THREADS: [usize; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
 
-/// [`figure9`] through the given engine.
+/// Figure 9 (and 11): CNN1 + Stitch over [`FIGURE9_INSTANCES`], through
+/// the given engine.
 pub fn figure9_with(runner: &Runner, config: &ExperimentConfig) -> MixSweepResult {
     run_mix_sweep_with(
         runner,
         MlWorkloadKind::Cnn1,
         BatchKind::Stitch,
-        &[1, 2, 3, 4, 5, 6],
+        &FIGURE9_INSTANCES,
         config,
     )
 }
 
-/// Figure 10 (and 12): RNN1 + CPUML, 2–16 threads.
-pub fn figure10(config: &ExperimentConfig) -> MixSweepResult {
-    figure10_with(&Runner::serial(), config)
-}
-
-/// [`figure10`] through the given engine.
+/// Figure 10 (and 12): RNN1 + CPUML over [`FIGURE10_THREADS`], through
+/// the given engine.
 pub fn figure10_with(runner: &Runner, config: &ExperimentConfig) -> MixSweepResult {
     run_mix_sweep_with(
         runner,
         MlWorkloadKind::Rnn1,
         BatchKind::CpuMl,
-        &[2, 4, 6, 8, 10, 12, 14, 16],
+        &FIGURE10_THREADS,
         config,
     )
 }
@@ -309,7 +297,13 @@ mod tests {
     #[test]
     fn small_sweep_produces_expected_shape() {
         let cfg = ExperimentConfig::quick();
-        let r = run_mix_sweep(MlWorkloadKind::Cnn1, BatchKind::Stitch, &[1, 3], &cfg);
+        let r = run_mix_sweep_with(
+            &Runner::serial(),
+            MlWorkloadKind::Cnn1,
+            BatchKind::Stitch,
+            &[1, 3],
+            &cfg,
+        );
         assert_eq!(r.series.len(), 4);
         assert_eq!(r.params, vec![1, 3]);
         for s in &r.series {

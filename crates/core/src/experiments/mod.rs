@@ -18,7 +18,9 @@
 //! | [`faults`] | fault matrix — KP vs KP-H under injected faults |
 //!
 //! Each harness returns a serializable result struct and can render itself
-//! as a text table; the `kelp-bench` binaries are thin wrappers.
+//! as a text table. Each has one entry point, which takes the
+//! [`Runner`] to run its grid through; `repro_all` (in `kelp-bench`) calls
+//! them and writes `results/`.
 
 pub mod ablation;
 pub mod backpressure;
@@ -57,57 +59,38 @@ pub fn standalone_reference_with(
     runner.run_one(&standalone_spec(ml, config)).ml_performance
 }
 
-/// Serial convenience wrapper around [`standalone_reference_with`].
-pub fn standalone_reference(ml: MlWorkloadKind, config: &ExperimentConfig) -> PerfSnapshot {
-    standalone_reference_with(&Runner::serial(), ml, config)
-}
-
 /// The union of every spec the `repro_all` sweep enumerates at `config`.
 ///
-/// `kelp-sim cache --prune` keeps exactly these entries (plus the scorecard
-/// extras, which are a subset of [`overall::specs`]) and deletes the rest,
-/// so the cache never accumulates entries from abandoned configurations.
-/// The literal grids here mirror the defaults baked into each figure's
-/// `figureN_with` wrapper.
+/// `kelp-sim cache --prune` keeps exactly these entries and deletes the
+/// rest, so the cache never accumulates entries from abandoned
+/// configurations. The scorecard's and the tail study's runs need no entry
+/// here: they are a subset of [`overall::specs`]. Each figure's grid is the
+/// constant its `figureN_with` runs.
 pub fn repro_specs(config: &ExperimentConfig) -> Vec<RunSpec> {
     use kelp_workloads::BatchKind;
     let mut specs = Vec::new();
     specs.extend(timeline::specs(config));
-    // Figure 5 and Figure 15 share the sensitivity harness.
+    specs.extend(sensitivity::specs(&sensitivity::FIGURE5_AGGRESSORS, config));
     specs.extend(sensitivity::specs(
-        &[BatchKind::LlcAggressor, BatchKind::DramAggressor],
-        config,
-    ));
-    specs.extend(sensitivity::specs(
-        &[
-            BatchKind::LlcAggressor,
-            BatchKind::DramAggressor,
-            BatchKind::RemoteDramAggressor,
-        ],
+        &sensitivity::FIGURE15_AGGRESSORS,
         config,
     ));
     specs.extend(backpressure::specs(config));
-    // Figures 9/11 and 10/12 (the mix sweeps' default grids).
     specs.extend(mix::specs(
         MlWorkloadKind::Cnn1,
         BatchKind::Stitch,
-        &[1, 2, 3, 4, 5, 6],
+        &mix::FIGURE9_INSTANCES,
         config,
     ));
     specs.extend(mix::specs(
         MlWorkloadKind::Rnn1,
         BatchKind::CpuMl,
-        &[2, 4, 6, 8, 10, 12, 14, 16],
+        &mix::FIGURE10_THREADS,
         config,
     ));
     specs.extend(overall::specs(config));
-    // The knee sweep's default offered loads.
-    let offered: Vec<f64> = (0..10).map(|i| 100.0 + 40.0 * i as f64).collect();
-    specs.extend(knee::specs(&offered, config));
-    specs.extend(remote::specs(
-        &[MlWorkloadKind::Cnn1, MlWorkloadKind::Cnn2],
-        config,
-    ));
+    specs.extend(knee::specs(&knee::DEFAULT_OFFERED_QPS, config));
+    specs.extend(remote::specs(&remote::FIGURE16_WORKLOADS, config));
     specs.extend(faults::specs(config));
     specs
 }
@@ -118,7 +101,11 @@ mod tests {
 
     #[test]
     fn standalone_reference_is_positive() {
-        let p = standalone_reference(MlWorkloadKind::Cnn1, &ExperimentConfig::quick());
+        let p = standalone_reference_with(
+            &Runner::serial(),
+            MlWorkloadKind::Cnn1,
+            &ExperimentConfig::quick(),
+        );
         assert!(p.throughput > 0.0);
     }
 }

@@ -273,11 +273,6 @@ pub fn run_overall_with(runner: &Runner, config: &ExperimentConfig) -> OverallRe
     fold(&runner.run_batch(&specs(config)))
 }
 
-/// Serial convenience wrapper around [`run_overall_with`].
-pub fn run_overall(config: &ExperimentConfig) -> OverallResult {
-    run_overall_with(&Runner::serial(), config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,18 +68,13 @@ impl RemoteSweepResult {
     }
 }
 
-/// Runs the Figure 16 sweep for CNN1 and CNN2 on the Cloud TPU platform.
-pub fn figure16(config: &ExperimentConfig) -> RemoteSweepResult {
-    figure16_for(&[MlWorkloadKind::Cnn1, MlWorkloadKind::Cnn2], config)
-}
+/// Figure 16's workloads: the Cloud TPU platform's CNN1 and CNN2.
+pub const FIGURE16_WORKLOADS: [MlWorkloadKind; 2] = [MlWorkloadKind::Cnn1, MlWorkloadKind::Cnn2];
 
-/// [`figure16`] through the given engine.
+/// Runs the Figure 16 sweep for [`FIGURE16_WORKLOADS`] through the given
+/// engine.
 pub fn figure16_with(runner: &Runner, config: &ExperimentConfig) -> RemoteSweepResult {
-    figure16_for_with(
-        runner,
-        &[MlWorkloadKind::Cnn1, MlWorkloadKind::Cnn2],
-        config,
-    )
+    figure16_for_with(runner, &FIGURE16_WORKLOADS, config)
 }
 
 /// Enumerates the sweep grid: per workload, the standalone reference then
@@ -145,11 +140,6 @@ pub fn figure16_for_with(
     fold(workloads, &runner.run_batch(&specs(workloads, config)))
 }
 
-/// Serial convenience wrapper around [`figure16_for_with`].
-pub fn figure16_for(workloads: &[MlWorkloadKind], config: &ExperimentConfig) -> RemoteSweepResult {
-    figure16_for_with(&Runner::serial(), workloads, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +151,8 @@ mod tests {
         // Single workload, two corner points: all-local vs data-remote.
         let config = ExperimentConfig::quick();
         let ml = MlWorkloadKind::Cnn1;
-        let standalone = crate::experiments::standalone_reference(ml, &config);
+        let standalone =
+            crate::experiments::standalone_reference_with(&Runner::serial(), ml, &config);
         let run = |df: f64, tf: f64| {
             let aggressor = BatchWorkload::new(BatchKind::DramAggressor, 16)
                 .with_local_data_fraction(df)

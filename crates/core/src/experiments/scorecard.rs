@@ -1,9 +1,9 @@
 //! The reproduction scorecard: every headline claim of the paper checked
 //! programmatically against the simulator, with pass bands.
 //!
-//! `cargo run --release -p kelp-bench --bin scorecard` prints the table that
-//! backs `EXPERIMENTS.md`; the calibration integration tests assert a subset
-//! of the same bands.
+//! `repro_all` prints the table that backs `EXPERIMENTS.md` and writes it to
+//! `results/scorecard.json`; the calibration integration tests assert a
+//! subset of the same bands.
 
 use crate::driver::ExperimentConfig;
 use crate::policy::PolicyKind;
@@ -68,14 +68,9 @@ impl Scorecard {
     }
 }
 
-/// Runs the scorecard (several dozen experiments; minutes at full scale).
-pub fn run_scorecard(config: &ExperimentConfig) -> Scorecard {
-    run_scorecard_with(&Runner::serial(), config)
-}
-
-/// Runs the scorecard through the given engine. Each composed harness
-/// batches its grid through the engine, so `--jobs N` parallelizes within
-/// every figure.
+/// Runs the scorecard (several dozen experiments) through the given engine.
+/// Each composed harness batches its grid through the engine, so `--jobs N`
+/// parallelizes within every figure.
 pub fn run_scorecard_with(runner: &Runner, config: &ExperimentConfig) -> Scorecard {
     let mut claims = Vec::new();
 
@@ -89,11 +84,7 @@ pub fn run_scorecard_with(runner: &Runner, config: &ExperimentConfig) -> Scoreca
     });
 
     // Figure 5.
-    let fig5 = super::sensitivity::run_sensitivity_with(
-        runner,
-        &[BatchKind::LlcAggressor, BatchKind::DramAggressor],
-        config,
-    );
+    let fig5 = super::sensitivity::figure5_with(runner, config);
     claims.push(Claim {
         source: "Fig 5".into(),
         paper: "LLC aggressor costs ~14% on average".into(),
@@ -209,7 +200,7 @@ mod tests {
 
     #[test]
     fn scorecard_runs_quick() {
-        let s = run_scorecard(&ExperimentConfig::quick());
+        let s = run_scorecard_with(&Runner::serial(), &ExperimentConfig::quick());
         assert!(s.claims.len() >= 10);
         // At quick scale, the large majority of claims must already hold.
         assert!(

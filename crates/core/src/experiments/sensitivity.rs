@@ -125,6 +125,16 @@ pub fn fold(aggressors: &[BatchKind], records: &[RunRecord]) -> SensitivityResul
     }
 }
 
+/// Figure 5's aggressors: LLC and DRAM.
+pub const FIGURE5_AGGRESSORS: [BatchKind; 2] = [BatchKind::LlcAggressor, BatchKind::DramAggressor];
+
+/// Figure 15's aggressors: LLC, DRAM and Remote DRAM.
+pub const FIGURE15_AGGRESSORS: [BatchKind; 3] = [
+    BatchKind::LlcAggressor,
+    BatchKind::DramAggressor,
+    BatchKind::RemoteDramAggressor,
+];
+
 /// Runs the sensitivity study through the given engine.
 pub fn run_sensitivity_with(
     runner: &Runner,
@@ -134,41 +144,14 @@ pub fn run_sensitivity_with(
     fold(aggressors, &runner.run_batch(&specs(aggressors, config)))
 }
 
-/// Serial convenience wrapper around [`run_sensitivity_with`].
-pub fn run_sensitivity(aggressors: &[BatchKind], config: &ExperimentConfig) -> SensitivityResult {
-    run_sensitivity_with(&Runner::serial(), aggressors, config)
-}
-
-/// Figure 5: LLC and DRAM aggressors.
-pub fn figure5(config: &ExperimentConfig) -> SensitivityResult {
-    figure5_with(&Runner::serial(), config)
-}
-
-/// [`figure5`] through the given engine.
+/// Figure 5: the [`FIGURE5_AGGRESSORS`] study through the given engine.
 pub fn figure5_with(runner: &Runner, config: &ExperimentConfig) -> SensitivityResult {
-    run_sensitivity_with(
-        runner,
-        &[BatchKind::LlcAggressor, BatchKind::DramAggressor],
-        config,
-    )
+    run_sensitivity_with(runner, &FIGURE5_AGGRESSORS, config)
 }
 
-/// Figure 15: LLC, DRAM and Remote DRAM.
-pub fn figure15(config: &ExperimentConfig) -> SensitivityResult {
-    figure15_with(&Runner::serial(), config)
-}
-
-/// [`figure15`] through the given engine.
+/// Figure 15: the [`FIGURE15_AGGRESSORS`] study through the given engine.
 pub fn figure15_with(runner: &Runner, config: &ExperimentConfig) -> SensitivityResult {
-    run_sensitivity_with(
-        runner,
-        &[
-            BatchKind::LlcAggressor,
-            BatchKind::DramAggressor,
-            BatchKind::RemoteDramAggressor,
-        ],
-        config,
-    )
+    run_sensitivity_with(runner, &FIGURE15_AGGRESSORS, config)
 }
 
 #[cfg(test)]
@@ -177,7 +160,8 @@ mod tests {
 
     #[test]
     fn dram_hurts_more_than_llc() {
-        let r = run_sensitivity(
+        let r = run_sensitivity_with(
+            &Runner::serial(),
             &[BatchKind::LlcAggressor, BatchKind::DramAggressor],
             &ExperimentConfig::quick(),
         );

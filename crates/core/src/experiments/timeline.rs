@@ -116,11 +116,6 @@ pub fn figure3_with(runner: &Runner, config: &ExperimentConfig) -> TimelineResul
     fold(config, &runner.run_batch(&specs(config)))
 }
 
-/// Serial convenience wrapper around [`figure3_with`].
-pub fn figure3(config: &ExperimentConfig) -> TimelineResult {
-    figure3_with(&Runner::serial(), config)
-}
-
 impl TimelineResult {
     /// Expansion of the CPU phase kind (the paper's +51 % headline).
     pub fn cpu_expansion(&self) -> f64 {
@@ -159,7 +154,7 @@ mod tests {
 
     #[test]
     fn cpu_phases_stretch_but_accel_does_not() {
-        let r = figure3(&ExperimentConfig::quick());
+        let r = figure3_with(&Runner::serial(), &ExperimentConfig::quick());
         let cpu = r.cpu_expansion();
         assert!(cpu > 1.15, "CPU phases must stretch: {cpu}");
         let accel = r.expansion.get("accel").copied().unwrap_or(1.0);

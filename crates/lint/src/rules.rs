@@ -17,7 +17,7 @@
 //! | ID     | Family       | Fires on |
 //! |--------|--------------|----------|
 //! | KL-D01 | determinism  | `HashMap`/`HashSet` in non-test code (iteration order can leak into serialized or cached output; use `BTreeMap`/`BTreeSet`) |
-//! | KL-D02 | determinism  | `Instant`/`SystemTime` outside the wall-clock allowlist |
+//! | KL-D02 | determinism  | `Instant`/`SystemTime` (the wall clock) |
 //! | KL-D03 | determinism  | `thread_rng`/`from_entropy`/`rand::random` (ambient, unseeded randomness) |
 //! | KL-D04 | determinism  | `env::var`/`var_os`/`vars` reads (ambient configuration) |
 //! | KL-P01 | panic-safety | `.unwrap()`/`.expect(` in library crates |
@@ -58,8 +58,6 @@ pub struct FileCtx {
     pub crate_root: bool,
     /// Vendored shim crate root: `#![deny(unsafe_code)]` also accepted.
     pub allow_deny_unsafe: bool,
-    /// Wall-clock allowlist member: KL-D02 does not apply.
-    pub time_allowlisted: bool,
 }
 
 /// One step of a source→…→sink witness chain (KL-T): a short display
@@ -252,7 +250,7 @@ fn token_rules(
                 tok.line,
                 format!("`{name}` iteration order is nondeterministic; use the BTree equivalent or justify with an allow"),
             ),
-            "Instant" | "SystemTime" if !ctx.time_allowlisted => push(
+            "Instant" | "SystemTime" => push(
                 "KL-D02",
                 tok.line,
                 format!("`{name}` reads the wall clock; results must be pure functions of the RunSpec"),

@@ -12,16 +12,6 @@ const PANIC_SCOPE_CRATES: [&str; 5] = ["core", "mem", "host", "simcore", "worklo
 /// accepted at the root where `forbid` is infeasible.
 const SHIM_CRATES: [&str; 3] = ["serde", "serde_derive", "serde_json"];
 
-/// The wall-clock allowlist (KL-D02): the only modules allowed to read the
-/// host clock, because they measure *our* wall time, never simulated state —
-/// the bench timing harness and `repro_all`'s progress report. Both only
-/// print what they time. No library crate is on it: every record and every
-/// `results/` file is a function of its spec.
-const TIME_ALLOWLIST: [&str; 2] = [
-    "crates/bench/src/timing.rs",
-    "crates/bench/src/bin/repro_all.rs",
-];
-
 /// Directories scanned relative to the workspace root.
 const SCAN_ROOTS: [&str; 3] = ["crates", "src", "examples"];
 
@@ -49,7 +39,6 @@ pub fn classify(rel: &str) -> Option<FileCtx> {
 
     let mut ctx = FileCtx {
         path: rel.to_string(),
-        time_allowlisted: TIME_ALLOWLIST.contains(&rel),
         ..FileCtx::default()
     };
     if let ["crates", krate, "src", rest @ ..] = parts.as_slice() {
@@ -102,7 +91,6 @@ mod tests {
     fn classification_matrix() {
         let core = classify("crates/core/src/runner.rs").expect("scanned");
         assert!(core.panic_scope);
-        assert!(!core.time_allowlisted);
         assert!(!core.crate_root);
 
         let root = classify("crates/mem/src/lib.rs").expect("scanned");
@@ -112,16 +100,13 @@ mod tests {
         assert!(shim.crate_root && shim.allow_deny_unsafe && !shim.panic_scope);
 
         let bin = classify("crates/bench/src/bin/repro_all.rs").expect("scanned");
-        assert!(!bin.panic_scope && bin.time_allowlisted);
+        assert!(!bin.panic_scope);
 
         let driver = classify("crates/core/src/driver.rs").expect("scanned");
-        assert!(driver.panic_scope && !driver.time_allowlisted);
+        assert!(driver.panic_scope);
 
         let hot = classify("crates/bench/src/bin/ext_solver_hot.rs").expect("scanned");
-        assert!(!hot.panic_scope && !hot.time_allowlisted);
-
-        let other_core = classify("crates/core/src/measure.rs").expect("scanned");
-        assert!(!other_core.time_allowlisted);
+        assert!(!hot.panic_scope);
 
         assert!(classify("tests/proptests.rs").is_none());
         assert!(classify("crates/bench/benches/bench_figures.rs").is_none());
@@ -144,12 +129,6 @@ mod tests {
     #[test]
     fn allowlist_entries_resolve_on_disk() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-        for rel in TIME_ALLOWLIST {
-            assert!(
-                root.join(rel).is_file(),
-                "TIME_ALLOWLIST entry `{rel}` does not exist; update scan.rs"
-            );
-        }
         for krate in PANIC_SCOPE_CRATES {
             assert!(
                 root.join("crates").join(krate).join("Cargo.toml").is_file(),

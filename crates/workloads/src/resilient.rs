@@ -249,6 +249,7 @@ impl ResilientFleet {
             let name = format!("hp-{i}");
             let (placement, machine) = placer
                 .place_where(config.hp_cores, |cand| cand == i)
+                // kelp-lint: allow(KL-P01): a fresh placer has room on machine i for i's own job.
                 .expect("home machine has room for its own job");
             debug_assert_eq!(machine, i);
             let task = m.add_task(
@@ -562,6 +563,7 @@ impl ResilientFleet {
                 .jobs
                 .iter_mut()
                 .find(|j| matches!(j.state, JobState::Placed { placement, .. } if placement == pid))
+                // kelp-lint: allow(KL-P01): the placer evicts only placements it made for registered jobs.
                 .expect("every evicted placement belongs to a registered job");
             if let JobState::Placed {
                 machine: m, task, ..

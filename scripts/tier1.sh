@@ -79,7 +79,9 @@ echo "== regenerate results/ and diff =="
 # of them into a temp dir (run cache included, so nothing is served from
 # results/cache/) and diff against the committed tree: a stale
 # golden, a renamed or dropped field, or a committed file that no generator
-# writes fails here. `set -e` keeps each generator's own exit check: error
+# writes fails here. Each file has one writer: `repro_all` writes every
+# file computed from experiment runs, and the three macro-benchmarks write
+# the `bench_*` files. `set -e` keeps each generator's own exit check: error
 # records, KP-H's fault bands (--strict), the fleet placer's quorum, batch
 # lanes solved and converged, and the solver memo's hits and evaluation
 # ratio (--strict).
@@ -88,11 +90,7 @@ trap 'rm -rf "$regen_dir"' EXIT
 regen() {
   KELP_RESULTS_DIR="$regen_dir" cargo run --release -q -p kelp-bench --bin "$@" >/dev/null
 }
-regen repro_all -- --jobs 2
-regen scorecard -- --jobs 2
-regen fig03_timeline -- --jobs 2
-regen ext_tail_amplification -- --jobs 2
-regen ext_fault_matrix -- --jobs 2 --strict
+regen repro_all -- --jobs 2 --strict
 regen ext_fleet_batch
 regen ext_fleet_faults
 regen ext_solver_hot -- --strict

@@ -1,9 +1,10 @@
 //! Calibration bands: the model must stay inside the paper's published
 //! sensitivity envelope (Figures 2, 3 and 5). These tests run the same
-//! harnesses as the figure binaries, at a slightly reduced duration.
+//! harnesses as `repro_all`, at a slightly reduced duration.
 
 use kelp::driver::ExperimentConfig;
 use kelp::experiments;
+use kelp::runner::Runner;
 use kelp_simcore::time::SimDuration;
 
 fn medium() -> ExperimentConfig {
@@ -27,7 +28,7 @@ fn figure2_fleet_band() {
 
 #[test]
 fn figure5_sensitivity_bands() {
-    let r = experiments::sensitivity::figure5(&medium());
+    let r = experiments::sensitivity::figure5_with(&Runner::serial(), &medium());
     let llc = r.average_for("LLC").unwrap();
     let dram = r.average_for("DRAM").unwrap();
     // Paper: LLC costs ~14% on average, DRAM ~40%.
@@ -65,7 +66,7 @@ fn figure5_sensitivity_bands() {
 
 #[test]
 fn figure3_timeline_bands() {
-    let r = experiments::timeline::figure3(&medium());
+    let r = experiments::timeline::figure3_with(&Runner::serial(), &medium());
     let cpu = r.cpu_expansion();
     // Paper: CPU-intensive phases stretch by up to 51%.
     assert!(
@@ -88,7 +89,7 @@ fn figure3_timeline_bands() {
 
 #[test]
 fn figure15_remote_band() {
-    let r = experiments::sensitivity::figure15(&medium());
+    let r = experiments::sensitivity::figure15_with(&Runner::serial(), &medium());
     // Remote DRAM costs the Cloud TPU workloads more than local DRAM
     // (paper: an extra 16% for CNN1 and 27% for CNN2).
     for name in ["CNN1", "CNN2"] {

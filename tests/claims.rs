@@ -1,6 +1,6 @@
 //! The committed paper scorecard holds: `results/scorecard.json` carries
 //! all 11 headline claims and every measurement sits inside its band.
-//! `cargo run --release -p kelp-bench --bin scorecard` regenerates the
+//! `cargo run --release -p kelp-bench --bin repro_all` regenerates the
 //! file; a regenerated golden that drops a claim out of band fails here.
 
 use kelp::experiments::scorecard::Scorecard;

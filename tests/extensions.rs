@@ -3,8 +3,10 @@
 
 use kelp::driver::{Experiment, ExperimentConfig};
 use kelp::experiments::backpressure::FixedPrefetchPolicy;
+use kelp::experiments::standalone_reference_with;
 use kelp::policy::{KelpPolicy, PolicyKind};
 use kelp::profile::ProfileLibrary;
+use kelp::runner::Runner;
 use kelp_mem::topology::{MachineSpec, SncMode, SocketId};
 use kelp_mem::{AdaptivePrefetch, DistressScope};
 use kelp_simcore::time::{SimDuration, SimTime};
@@ -21,7 +23,7 @@ fn quick() -> ExperimentConfig {
 #[test]
 fn targeted_distress_makes_subdomains_sufficient() {
     let ml = MlWorkloadKind::Cnn1;
-    let standalone = kelp::experiments::standalone_reference(ml, &quick());
+    let standalone = standalone_reference_with(&Runner::serial(), ml, &quick());
     let run = |scope: DistressScope| {
         Experiment::builder(ml, PolicyKind::KelpSubdomain)
             .custom_policy(Box::new(FixedPrefetchPolicy::with_disabled_fraction(0.0)))
@@ -44,7 +46,7 @@ fn targeted_distress_makes_subdomains_sufficient() {
 #[test]
 fn adaptive_prefetch_beats_software_toggling_on_throughput() {
     let ml = MlWorkloadKind::Cnn1;
-    let standalone = kelp::experiments::standalone_reference(ml, &quick());
+    let standalone = standalone_reference_with(&Runner::serial(), ml, &quick());
     let run = |disabled: f64, hw: bool| {
         let mut b = Experiment::builder(ml, PolicyKind::KelpSubdomain)
             .custom_policy(Box::new(FixedPrefetchPolicy::with_disabled_fraction(
@@ -79,7 +81,7 @@ fn adaptive_prefetch_beats_software_toggling_on_throughput() {
 #[test]
 fn profile_library_is_consulted() {
     let ml = MlWorkloadKind::Cnn3;
-    let standalone = kelp::experiments::standalone_reference(ml, &quick());
+    let standalone = standalone_reference_with(&Runner::serial(), ml, &quick());
     let lib = ProfileLibrary::default_for_machine(
         &ml.platform().host_machine(),
         SncMode::Enabled,

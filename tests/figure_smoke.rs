@@ -3,6 +3,7 @@
 
 use kelp::driver::ExperimentConfig;
 use kelp::experiments;
+use kelp::runner::Runner;
 use kelp_workloads::{BatchKind, MlWorkloadKind};
 
 fn quick() -> ExperimentConfig {
@@ -25,7 +26,7 @@ fn figure2_serializes() {
 
 #[test]
 fn figure3_produces_windows_and_json() {
-    let r = experiments::timeline::figure3(&quick());
+    let r = experiments::timeline::figure3_with(&Runner::serial(), &quick());
     assert!(!r.standalone_window.is_empty());
     assert!(!r.colocated_window.is_empty());
     assert!(r.standalone_totals_ms.contains_key("cpu"));
@@ -34,7 +35,11 @@ fn figure3_produces_windows_and_json() {
 
 #[test]
 fn figure5_structure() {
-    let r = experiments::sensitivity::run_sensitivity(&[BatchKind::DramAggressor], &quick());
+    let r = experiments::sensitivity::run_sensitivity_with(
+        &Runner::serial(),
+        &[BatchKind::DramAggressor],
+        &quick(),
+    );
     assert_eq!(r.rows.len(), 4);
     assert_eq!(r.aggressors, vec!["DRAM"]);
     for row in &r.rows {
@@ -45,8 +50,13 @@ fn figure5_structure() {
 
 #[test]
 fn figure9_structure() {
-    let r =
-        experiments::mix::run_mix_sweep(MlWorkloadKind::Cnn1, BatchKind::Stitch, &[1, 2], &quick());
+    let r = experiments::mix::run_mix_sweep_with(
+        &Runner::serial(),
+        MlWorkloadKind::Cnn1,
+        BatchKind::Stitch,
+        &[1, 2],
+        &quick(),
+    );
     assert_eq!(r.series.len(), 4);
     assert!(r.avg_ml_norm(kelp::policy::PolicyKind::Kelp) > 0.0);
     assert!(r.avg_cpu_norm(kelp::policy::PolicyKind::Kelp) > 0.0);
@@ -55,7 +65,13 @@ fn figure9_structure() {
 
 #[test]
 fn figure10_reports_tail() {
-    let r = experiments::mix::run_mix_sweep(MlWorkloadKind::Rnn1, BatchKind::CpuMl, &[4], &quick());
+    let r = experiments::mix::run_mix_sweep_with(
+        &Runner::serial(),
+        MlWorkloadKind::Rnn1,
+        BatchKind::CpuMl,
+        &[4],
+        &quick(),
+    );
     for s in &r.series {
         assert!(
             s.points[0].ml_tail_norm.is_some(),
@@ -67,7 +83,11 @@ fn figure10_reports_tail() {
 
 #[test]
 fn figure16_grid_is_full() {
-    let r = experiments::remote::figure16_for(&[MlWorkloadKind::Cnn1], &quick());
+    let r = experiments::remote::figure16_for_with(
+        &Runner::serial(),
+        &[MlWorkloadKind::Cnn1],
+        &quick(),
+    );
     let panel = r.panel("CNN1").unwrap();
     assert_eq!(panel.slowdown.len(), r.thread_fractions.len());
     for row in &panel.slowdown {

@@ -9,8 +9,10 @@
 //!   standalone.
 
 use kelp::driver::{Experiment, ExperimentConfig, ExperimentResult};
+use kelp::experiments::standalone_reference_with;
 use kelp::metrics::efficiency;
 use kelp::policy::PolicyKind;
+use kelp::runner::Runner;
 use kelp_simcore::time::SimDuration;
 use kelp_workloads::{BatchKind, BatchWorkload, MlWorkloadKind};
 
@@ -44,7 +46,7 @@ struct Mix {
 }
 
 fn full_mix(ml: MlWorkloadKind, cpu: BatchKind, threads: usize) -> Mix {
-    let standalone = kelp::experiments::standalone_reference(ml, &medium());
+    let standalone = standalone_reference_with(&Runner::serial(), ml, &medium());
     Mix {
         standalone: standalone.throughput,
         bl: run_mix(ml, cpu, threads, PolicyKind::Baseline),
@@ -114,7 +116,7 @@ fn kelp_efficiency_beats_subdomain() {
 fn rnn1_tail_latency_ordering() {
     // Figure 10b: under CPUML pressure the subdomain policies keep RNN1's
     // tail in check while Baseline's grows.
-    let standalone = kelp::experiments::standalone_reference(MlWorkloadKind::Rnn1, &medium());
+    let standalone = standalone_reference_with(&Runner::serial(), MlWorkloadKind::Rnn1, &medium());
     let base_tail = standalone.tail_latency_ms.unwrap();
     let tail = |policy| {
         run_mix(MlWorkloadKind::Rnn1, BatchKind::Stitch, 16, policy)
