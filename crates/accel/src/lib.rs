@@ -16,7 +16,18 @@
 //! are modelled as fixed-rate compute engines plus PCIe DMA traffic into
 //! host memory — the part that does interact with the memory system.
 
-#![forbid(unsafe_code)]
+// Library code reports failure as a value and writes no output; a
+// deliberate exception is a reasoned `#[expect]` (DESIGN.md §6b).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -3,7 +3,9 @@
 //! Runs the FineGrained MBA-style policy against the paper's four
 //! configurations on the heavy CNN1+Stream mix. The paper predicts a
 //! hardware mechanism could beat Subdomain's ML performance while keeping
-//! more CPU throughput than CoreThrottle or Kelp.
+//! more CPU throughput than CoreThrottle or Kelp. In this model FG matches
+//! Kelp's ML protection and keeps more CPU throughput than CoreThrottle,
+//! but less than Kelp.
 
 use kelp::driver::Experiment;
 use kelp::experiments::standalone_reference_with;

@@ -103,9 +103,11 @@ impl KelpController {
     /// # Panics
     ///
     /// Panics if the config is invalid.
-    // kelp-lint: allow(KL-R02): documented constructor contract (see `# Panics` above).
     pub fn new(config: KelpControllerConfig) -> Self {
-        // kelp-lint: allow(KL-P01): documented constructor contract (see `# Panics` above).
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract (see `# Panics` above)"
+        )]
         config.validate().expect("invalid controller config");
         KelpController {
             config,

@@ -51,8 +51,11 @@ impl ExperimentConfig {
     /// paper-scale configuration for higher-fidelity local checks.
     ///
     /// [`quick`]: ExperimentConfig::quick
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "KELP_QUICK is the documented test-speed toggle; it selects a config and never reaches results"
+    )]
     pub fn from_env() -> Self {
-        // kelp-lint: allow(KL-D04): KELP_QUICK is the documented test-speed toggle; it selects a config, never leaks into results.
         match std::env::var("KELP_QUICK").as_deref() {
             Ok("0") | Ok("false") | Ok("off") => ExperimentConfig::default(),
             _ => ExperimentConfig::quick(),

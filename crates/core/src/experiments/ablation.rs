@@ -224,8 +224,14 @@ pub fn watermark_table(points: &[WatermarkPoint]) -> Table {
         &["sat high watermark", "ML perf (norm)", "CPU units/s"],
     );
     for p in points {
+        // `f64::MAX` neutralizes the watermark: the saturation duty caps at 1.0.
+        let sat_high = if p.sat_high == f64::MAX {
+            "off".to_string()
+        } else {
+            Table::num(p.sat_high)
+        };
         t.row(vec![
-            Table::num(p.sat_high),
+            sat_high,
             Table::num(p.ml_norm),
             format!("{:.3e}", p.cpu_throughput),
         ]);
@@ -267,6 +273,21 @@ mod tests {
                 row.kp_ml,
                 row.sd_ml
             );
+        }
+    }
+
+    #[test]
+    fn neutralized_watermark_prints_off_in_a_narrow_table() {
+        let point = |sat_high| WatermarkPoint {
+            sat_high,
+            ml_norm: 0.9,
+            cpu_throughput: 1.5e9,
+        };
+        let text = watermark_table(&[point(0.05), point(f64::MAX)]).render();
+        assert!(text.contains("| off "), "{text}");
+        assert!(text.contains("| 0.050 "), "{text}");
+        for line in text.lines() {
+            assert!(line.chars().count() <= 80, "line too wide: {line}");
         }
     }
 

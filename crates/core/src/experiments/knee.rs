@@ -3,8 +3,8 @@
 //! §III-A: "we sweep the query throughput (measured in queries-per-second or
 //! QPS) and analyze the tail latency. The target throughput we use in the
 //! paper is at the knee of the tail latency curve. The sweep plot is omitted
-//! for brevity." This harness regenerates that omitted plot and verifies the
-//! calibrated target sits at the knee.
+//! for brevity." This harness regenerates that omitted plot and locates the
+//! knee ([`KneeResult::knee_qps`]) next to the calibrated target.
 
 use crate::driver::ExperimentConfig;
 use crate::policy::PolicyKind;

@@ -79,8 +79,11 @@ impl BarChart {
     }
 
     /// Renders and prints with a 40-character bar width.
+    #[expect(
+        clippy::print_stdout,
+        reason = "this is the report layer; print() is its stdout sink"
+    )]
     pub fn print(&self) {
-        // kelp-lint: allow(KL-H02): this IS the report layer; print() is its stdout sink.
         println!("{}", self.render(40));
     }
 }

@@ -88,8 +88,11 @@ impl Table {
     }
 
     /// Renders and prints to stdout.
+    #[expect(
+        clippy::print_stdout,
+        reason = "this is the report layer; print() is its stdout sink"
+    )]
     pub fn print(&self) {
-        // kelp-lint: allow(KL-H02): this IS the report layer; print() is its stdout sink.
         println!("{}", self.render());
     }
 }

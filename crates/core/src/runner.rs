@@ -955,7 +955,6 @@ impl Runner {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 let known = index.get_or_insert_with(|| Self::scan_cache_dir(dir));
                 for (hash, text) in writes {
-                    // kelp-lint: allow(KL-T02): the env-configurable part is the cache *path*; the written bytes are the spec-derived record (value-coarse self taint).
                     if std::fs::write(Self::hash_path(dir, hash), text).is_ok() {
                         known.insert(hash);
                     }

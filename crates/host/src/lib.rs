@@ -10,7 +10,18 @@
 //! every task into solver form each step, and reports achieved work rates
 //! and performance counters.
 
-#![forbid(unsafe_code)]
+// Library code reports failure as a value and writes no output; a
+// deliberate exception is a reasoned `#[expect]` (DESIGN.md §6b).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -26,9 +26,12 @@ use std::sync::Arc;
 /// Contract check at the machine's public API boundary: an invalid spec is a
 /// bug in the calling experiment code, not a runtime condition, so failing
 /// loudly and immediately is deliberate.
+#[expect(
+    clippy::panic,
+    reason = "API-boundary contract; an invalid spec is a caller bug"
+)]
 fn assert_valid(result: Result<(), String>, what: &str) {
     if let Err(e) = result {
-        // kelp-lint: allow(KL-P02): API-boundary contract; invalid specs are caller bugs.
         panic!("{what}: {e}");
     }
 }
@@ -300,7 +303,6 @@ impl HostMachine {
     /// # Panics
     ///
     /// Panics if the machine spec is invalid (`MemSystem::new`'s contract).
-    // kelp-lint: allow(KL-R02): constructor contract inherited from MemSystem::new.
     pub fn new(machine: kelp_mem::topology::MachineSpec, snc: SncMode) -> Self {
         HostMachine {
             mem: MemSystem::new(machine, snc),

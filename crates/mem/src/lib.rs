@@ -25,7 +25,18 @@
 //! allocation and memory latency by damped fixed-point iteration, using a
 //! generalized weighted max-min fair allocator ([`maxmin`]) for bandwidth.
 
-#![forbid(unsafe_code)]
+// Library code reports failure as a value and writes no output; a
+// deliberate exception is a reasoned `#[expect]` (DESIGN.md §6b).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -536,9 +536,11 @@ impl AdaptivePrefetch {
 impl MemSystem {
     /// Creates a memory system with default latency/distress models and CAT
     /// disabled.
-    // kelp-lint: allow(KL-R02): constructor contract; an invalid spec is a caller bug.
     pub fn new(machine: MachineSpec, snc: SncMode) -> Self {
-        // kelp-lint: allow(KL-P01): constructor contract; an invalid spec is a caller bug.
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract; an invalid spec is a caller bug"
+        )]
         machine.validate().expect("invalid machine spec");
         let ways = machine.sockets[0].llc_ways;
         MemSystem {
@@ -1563,7 +1565,7 @@ mod tests {
     #[test]
     fn pair_index_is_dense_and_unique() {
         let n = 4;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for lo in 0..n {
             for hi in (lo + 1)..n {
                 assert!(seen.insert(pair_index(lo, hi, n)));

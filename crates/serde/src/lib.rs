@@ -11,7 +11,18 @@
 //! `null` for non-finite floats, externally tagged enums), so existing
 //! `results/*.json` artefacts remain byte-stable.
 
-#![forbid(unsafe_code)]
+// Library code reports failure as a value and writes no output; a
+// deliberate exception is a reasoned `#[expect]` (DESIGN.md §6b).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -165,7 +176,6 @@ impl Serialize for f32 {
 
 impl Deserialize for f32 {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        // kelp-lint: allow(KL-F02): Deserialize for f32 must narrow; callers chose f32 storage.
         f64::from_value(v).map(|f| f as f32)
     }
 }
@@ -343,7 +353,10 @@ impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
     }
 }
 
-// kelp-lint: allow(KL-D01): generic shim API; to_value sorts keys, output is order-stable.
+#[expect(
+    clippy::disallowed_types,
+    reason = "generic shim API; to_value sorts keys, so output is order-stable"
+)]
 impl<V, S> Serialize for std::collections::HashMap<String, V, S>
 where
     V: Serialize,
@@ -361,7 +374,10 @@ where
     }
 }
 
-// kelp-lint: allow(KL-D01): generic shim API; deserialization never iterates the map.
+#[expect(
+    clippy::disallowed_types,
+    reason = "generic shim API; deserialization never iterates the map"
+)]
 impl<V, S> Deserialize for std::collections::HashMap<String, V, S>
 where
     V: Deserialize,

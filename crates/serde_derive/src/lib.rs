@@ -12,8 +12,6 @@
 //! Generics, struct variants, and `#[serde(...)]` attributes are not
 //! supported and produce a compile error pointing here.
 
-#![forbid(unsafe_code)]
-
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Data {

@@ -6,7 +6,18 @@
 //! byte-stable: 2-space pretty printing, floats always carry a fractional
 //! part (`1.0`, not `1`), and non-finite floats render as `null`.
 
-#![forbid(unsafe_code)]
+// Library code reports failure as a value and writes no output; a
+// deliberate exception is a reasoned `#[expect]` (DESIGN.md §6b).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
@@ -478,6 +489,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "tests the HashMap Serialize impl itself"
+    )]
     fn hashmap_json_key_order_is_byte_stable() {
         // The HashMap Serialize impl sorts keys, so the rendered JSON must
         // be byte-identical regardless of insertion order (and of the

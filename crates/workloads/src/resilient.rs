@@ -247,9 +247,12 @@ impl ResilientFleet {
             let mut m = HostMachine::new(MachineSpec::dual_socket(), SncMode::Disabled);
             let rate = rng.uniform(1e9, 3e9);
             let name = format!("hp-{i}");
+            #[expect(
+                clippy::expect_used,
+                reason = "a fresh placer has room on machine i for i's own job"
+            )]
             let (placement, machine) = placer
                 .place_where(config.hp_cores, |cand| cand == i)
-                // kelp-lint: allow(KL-P01): a fresh placer has room on machine i for i's own job.
                 .expect("home machine has room for its own job");
             debug_assert_eq!(machine, i);
             let task = m.add_task(
@@ -559,11 +562,14 @@ impl ResilientFleet {
         self.placer_down[machine] = true;
         let fd = self.config.failure_domains.max(1);
         for (pid, _cores) in displaced {
+            #[expect(
+                clippy::expect_used,
+                reason = "the placer evicts only placements it made for registered jobs"
+            )]
             let job = self
                 .jobs
                 .iter_mut()
                 .find(|j| matches!(j.state, JobState::Placed { placement, .. } if placement == pid))
-                // kelp-lint: allow(KL-P01): the placer evicts only placements it made for registered jobs.
                 .expect("every evicted placement belongs to a registered job");
             if let JobState::Placed {
                 machine: m, task, ..

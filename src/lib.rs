@@ -17,7 +17,6 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use kelp;
@@ -26,3 +25,6 @@ pub use kelp_host as host;
 pub use kelp_mem as mem;
 pub use kelp_simcore as simcore;
 pub use kelp_workloads as workloads;
+
+#[cfg(test)]
+mod rules;
