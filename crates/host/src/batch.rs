@@ -9,9 +9,10 @@
 //!    the memo hit the scalar path would take: a clean machine's lowered
 //!    input is bit-identical to its previous one, and the FIFO memo cache
 //!    only evicts on insert, so the entry is still present.
-//! 2. **Memo lookup** — dirty machines are lowered; a changed machine that
-//!    revisits an earlier configuration is served from its own memo cache,
-//!    as in the scalar path.
+//! 2. **Memo lookup** — a changed machine that revisits an earlier
+//!    configuration is served from its own memo cache, as in the scalar
+//!    path: first by the entry's tag (configuration epoch and phase
+//!    values) without lowering, then by lowering and comparing inputs.
 //! 3. **Batched solve** — the remaining lanes are grouped by memory-system
 //!    equality and solved through one [`BatchSolver`] arena per group via
 //!    [`kelp_mem::solver::MemSystem::solve_batch_with`], then aggregated,
@@ -33,7 +34,8 @@ pub struct HostBatchStats {
     pub machines_stepped: u64,
     /// Steps served by the adaptive skip (clean machine, no lowering).
     pub adaptive_skips: u64,
-    /// Steps served from a machine's memo cache after lowering.
+    /// Steps of a changed machine served from its memo cache, by tag or
+    /// by input.
     pub memo_hits: u64,
     /// Lanes driven through the batched SoA solver.
     pub lanes_solved: u64,

@@ -36,6 +36,16 @@ fn assert_valid(result: Result<(), String>, what: &str) {
     }
 }
 
+/// Rejects a NaN or infinite value: `<` and `>` checks, and `f64::clamp`,
+/// let a NaN through.
+fn check_finite(value: f64) -> Result<(), String> {
+    if value.is_finite() {
+        Ok(())
+    } else {
+        Err(format!("{value} is not finite"))
+    }
+}
+
 /// Identifier of a registered fixed flow (accelerator DMA / PCIe in-feed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub usize);
@@ -262,9 +272,13 @@ pub struct HostMachine {
     smt: SmtModel,
     tasks: Vec<TaskEntry>,
     flows: Vec<FixedFlow>,
-    /// Memoized solves: workload phases alternate among a small set of
-    /// configurations, so most steps hit this cache.
-    cache: std::cell::RefCell<Vec<(SolverInput, MachineReport)>>,
+    /// Memoized solves in FIFO order: workload phases alternate among a
+    /// small set of configurations, so most steps hit this cache.
+    cache: std::cell::RefCell<Vec<MemoEntry>>,
+    /// Configuration epoch: bumped by every mutation that can change the
+    /// lowered input, except the two phase setters, whose values a memo
+    /// tag records instead. See [`MemoEntry`].
+    epoch: u64,
     /// Reused solver workspace; also carries warm-start state between ticks.
     scratch: std::cell::RefCell<SolverScratch>,
     /// Cumulative solve cost over this machine's lifetime.
@@ -297,6 +311,29 @@ pub struct HostMachine {
 /// Capacity of the solve memoization cache.
 const SOLVE_CACHE_CAPACITY: usize = 24;
 
+/// One memoized solve, with two keys.
+///
+/// The exact key is the lowered `input`, matched by equality. The fast key
+/// is the *tag* — the machine's epoch and phase values when the entry was
+/// last matched — which serves a step without lowering. A tag match is
+/// exact: lowering is a pure function of the configuration, an equal epoch
+/// means no mutation outside the phase setters since the tag was written,
+/// and phase values equal under `==` lower to equal inputs (a ±0
+/// intensity is filtered out either way, and ±0 rates compare equal).
+#[derive(Debug, Clone)]
+struct MemoEntry {
+    /// The lowered solver input this report solved.
+    input: SolverInput,
+    /// The report; a served step shares its rows.
+    report: MachineReport,
+    /// The machine's epoch when this entry was last matched.
+    epoch: u64,
+    /// Every task's intensity, then every flow's rate, when this entry was
+    /// last matched. `None` when `input` holds a NaN: such an input never
+    /// equals itself, so the scan never serves it and neither may its tag.
+    phase: Option<Box<[f64]>>,
+}
+
 impl HostMachine {
     /// Creates a machine with the given topology and SNC mode.
     ///
@@ -310,6 +347,7 @@ impl HostMachine {
             tasks: Vec::new(),
             flows: Vec::new(),
             cache: std::cell::RefCell::new(Vec::new()),
+            epoch: 0,
             scratch: std::cell::RefCell::new(SolverScratch::default()),
             stats: std::cell::RefCell::new(SolveStats::default()),
             tuning: SolverTuning::default(),
@@ -366,7 +404,12 @@ impl HostMachine {
     /// machine clean — and flips the lifecycle between `Up` and `Degraded`
     /// (a `Down`/`Recovering` machine keeps its state; `restore` picks the
     /// right one on the way back).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `retained` is NaN or infinite.
     pub fn set_brownout(&mut self, retained: f64) {
+        assert_valid(check_finite(retained), "invalid brownout");
         let retained = retained.clamp(0.0, 1.0);
         if self.mem.machine_derate() != retained {
             self.mem_mut().set_machine_derate(retained);
@@ -394,9 +437,14 @@ impl HostMachine {
         }
     }
 
-    /// Marks the machine's configuration as changed since its last step.
-    fn mark_dirty(&self) {
+    /// Marks the machine's configuration as changed since its last step
+    /// and starts a new epoch, so no memo tag written before matches until
+    /// a scan re-tags its entry. Every mutation that can change the lowered
+    /// input goes through here, except [`HostMachine::set_intensity`] and
+    /// [`HostMachine::set_flow_gbps`], whose values the tag records.
+    fn mark_dirty(&mut self) {
         self.dirty.set(true);
+        self.epoch = self.epoch.wrapping_add(1);
     }
 
     /// Whether any input-affecting mutation happened since the last solved
@@ -462,14 +510,26 @@ impl HostMachine {
     }
 
     /// Overrides the SMT model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two-thread penalty is NaN or infinite.
     pub fn set_smt(&mut self, smt: SmtModel) {
+        assert_valid(check_finite(smt.two_thread_penalty), "invalid SMT model");
         self.smt = smt;
         self.mark_dirty();
     }
 
     /// Registers a task with initial core allocations; returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread profile or an allocation's memory policy is
+    /// invalid, a NaN or infinite field included, or if the memory weight
+    /// is NaN or infinite.
     pub fn add_task(&mut self, spec: TaskSpec, allocations: Vec<CpuAllocation>) -> HostTaskId {
         assert_valid(spec.profile.validate(), "invalid thread profile");
+        assert_valid(check_finite(spec.mem_weight), "invalid memory weight");
         for a in &allocations {
             assert_valid(a.policy.validate(), "invalid memory policy");
         }
@@ -490,7 +550,7 @@ impl HostMachine {
         if let Some(t) = self.tasks.get_mut(id.0) {
             if t.alive {
                 t.alive = false;
-                self.dirty.set(true);
+                self.mark_dirty();
             }
         }
     }
@@ -500,11 +560,18 @@ impl HostMachine {
         self.tasks.get(id.0).is_some_and(|t| t.alive)
     }
 
-    /// Sets a task's activity level in `[0, 1]` (workload phase duty).
+    /// Sets a task's activity level, clamped to `[0, 1]` (workload phase
+    /// duty). A phase setter: it marks the machine dirty but keeps its
+    /// epoch, so a step that returns to a memoized phase skips lowering.
     ///
     /// The ML workload models use this to reflect which fraction of the step
     /// their host threads are actually runnable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `intensity` is NaN or infinite.
     pub fn set_intensity(&mut self, id: HostTaskId, intensity: f64) {
+        assert_valid(check_finite(intensity), "invalid intensity");
         if let Some(t) = self.tasks.get_mut(id.0) {
             let clamped = intensity.clamp(0.0, 1.0);
             // Value-aware: a write that changes nothing keeps the machine
@@ -522,7 +589,7 @@ impl HostMachine {
         if let Some(t) = self.tasks.get_mut(id.0) {
             if t.spec.desired_threads != threads {
                 t.spec.desired_threads = threads;
-                self.dirty.set(true);
+                self.mark_dirty();
             }
         }
     }
@@ -543,14 +610,26 @@ impl HostMachine {
     }
 
     /// Registers a fixed flow; returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flow's rate or weight is NaN or infinite.
     pub fn add_flow(&mut self, flow: FixedFlow) -> FlowId {
+        assert_valid(check_finite(flow.gbps), "invalid flow rate");
+        assert_valid(check_finite(flow.weight), "invalid flow weight");
         self.flows.push(flow);
         self.mark_dirty();
         FlowId(self.flows.len() - 1)
     }
 
-    /// Updates a fixed flow's demand in GB/s.
+    /// Updates a fixed flow's demand in GB/s (negative clamps to 0). A
+    /// phase setter, like [`HostMachine::set_intensity`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gbps` is NaN or infinite.
     pub fn set_flow_gbps(&mut self, id: FlowId, gbps: f64) {
+        assert_valid(check_finite(gbps), "invalid flow rate");
         if let Some(f) = self.flows.get_mut(id.0) {
             let clamped = gbps.max(0.0);
             if f.gbps != clamped {
@@ -609,11 +688,12 @@ impl HostMachine {
     }
 
     /// Serves the step from state the machine already has — the safe
-    /// state of a down machine, the replay of a clean one, or a memo hit —
-    /// and counts it; otherwise lowers the configuration and returns it for
-    /// a solve that [`HostMachine::finish_solve`] completes. Shared
-    /// verbatim by the scalar and batch paths so their reports, stats and
-    /// memo contents stay bit-identical.
+    /// state of a down machine, the replay of a clean one, or a memo hit by
+    /// tag or, after lowering, by input — and counts it; otherwise returns
+    /// the lowered configuration for a solve that
+    /// [`HostMachine::finish_solve`] completes. Shared verbatim by the
+    /// scalar and batch paths so their reports, stats and memo contents
+    /// (tags included) stay bit-identical.
     pub(crate) fn serve(&self) -> Served {
         if !self.lifecycle.is_serving() {
             self.safe_step();
@@ -626,6 +706,9 @@ impl HostMachine {
         if self.tuning.memo && !self.is_dirty() && self.replayable.get() {
             self.note_memo_hit();
             return Served::Replay;
+        }
+        if self.tuning.memo && self.tag_hit() {
+            return Served::MemoHit;
         }
         let lowered = self.lower();
         if self.tuning.memo && self.memo_hit(&lowered.input) {
@@ -815,21 +898,55 @@ impl HostMachine {
         }
     }
 
-    /// Serves a memoized step for `input`: the machine's report shares the
-    /// memo entry's rows, the memo hit is counted and the step marked
-    /// replayable. Returns `false` — and does nothing — when `input` is not
-    /// memoized.
+    /// The phase values: every task's intensity, then every flow's rate.
+    fn phase_values(&self) -> impl Iterator<Item = f64> + '_ {
+        let intensities = self.tasks.iter().map(|t| t.intensity);
+        intensities.chain(self.flows.iter().map(|f| f.gbps))
+    }
+
+    /// Serves a memoized step without lowering, from the entry tagged with
+    /// the current epoch and phase values (see [`MemoEntry`]). Tags are
+    /// unique: an entry is tagged only on a miss of that tag. Returns
+    /// `false` — and does nothing — when no entry carries the tag.
+    fn tag_hit(&self) -> bool {
+        let cache = self.cache.borrow();
+        let Some(entry) = cache.iter().find(|e| {
+            e.epoch == self.epoch
+                && e.phase
+                    .as_deref()
+                    .is_some_and(|p| p.iter().copied().eq(self.phase_values()))
+        }) else {
+            return false;
+        };
+        debug_assert!(
+            entry.input == self.lower().input,
+            "a memo tag matched a configuration that lowers to another input: \
+             a mutator changed the input without starting a new epoch"
+        );
+        self.serve_memoized(&entry.report);
+        true
+    }
+
+    /// Serves a memoized step for `input`, found by equality, and re-tags
+    /// the entry with the current epoch and phase values. Returns `false` —
+    /// and does nothing — when `input` is not memoized.
     fn memo_hit(&self, input: &SolverInput) -> bool {
-        {
-            let cache = self.cache.borrow();
-            let Some((_, report)) = cache.iter().find(|(k, _)| k == input) else {
-                return false;
-            };
-            self.report.borrow_mut().clone_from(report);
-        }
+        let mut cache = self.cache.borrow_mut();
+        let Some(entry) = cache.iter_mut().find(|e| e.input == *input) else {
+            return false;
+        };
+        entry.epoch = self.epoch;
+        entry.phase = Some(self.phase_values().collect());
+        self.serve_memoized(&entry.report);
+        true
+    }
+
+    /// Ends a memo-hit step: the machine's report shares the entry's rows,
+    /// the hit is counted and the step marked replayable.
+    fn serve_memoized(&self, report: &MachineReport) {
+        self.report.borrow_mut().clone_from(report);
         self.note_memo_hit();
         self.mark_replayable();
-        true
     }
 
     /// Counts one memo-served solve (a memo hit or a replay).
@@ -850,7 +967,8 @@ impl HostMachine {
         self.scratch.borrow_mut()
     }
 
-    /// Inserts a computed report into the memo cache (FIFO eviction); the
+    /// Inserts a computed report into the memo cache (FIFO eviction),
+    /// tagged with the epoch and phase values it was lowered under; the
     /// entry shares the report's rows.
     fn memo_put(&self, input: &SolverInput, report: &MachineReport) {
         if self.tuning.memo {
@@ -858,14 +976,23 @@ impl HostMachine {
             if cache.len() >= SOLVE_CACHE_CAPACITY {
                 cache.remove(0);
             }
-            cache.push((input.clone(), report.clone()));
+            cache.push(MemoEntry {
+                input: input.clone(),
+                report: report.clone(),
+                epoch: self.epoch,
+                phase: equals_itself(input).then(|| self.phase_values().collect()),
+            });
         }
     }
 
     /// Snapshot of the memo cache contents in FIFO order (testing hook for
     /// the batch ≡ serial identity property tests).
     pub fn memo_snapshot(&self) -> Vec<(SolverInput, MachineReport)> {
-        self.cache.borrow().clone()
+        let cache = self.cache.borrow();
+        cache
+            .iter()
+            .map(|e| (e.input.clone(), e.report.clone()))
+            .collect()
     }
 
     /// Completes a step that [`HostMachine::serve`] could not serve: walks
@@ -962,6 +1089,15 @@ fn output_is_healthy(o: &SolverOutput) -> bool {
     (o.converged || o.residual <= DIVERGED_RESIDUAL) && finite_rates(o)
 }
 
+/// Whether `input` equals itself: false exactly when it holds a NaN.
+#[expect(
+    clippy::eq_op,
+    reason = "self-equality is the NaN test for a whole input"
+)]
+fn equals_itself(input: &SolverInput) -> bool {
+    input == input
+}
+
 /// Every user-visible quantity in the output is finite.
 fn finite_rates(o: &SolverOutput) -> bool {
     o.tasks.iter().all(|t| {
@@ -976,7 +1112,7 @@ fn finite_rates(o: &SolverOutput) -> bool {
 /// the solver's output back into a [`MachineReport`].
 #[derive(Debug, Clone)]
 pub(crate) struct LoweredStep {
-    /// The solver input (also the memo key).
+    /// The solver input (also the memo entry's exact key).
     pub(crate) input: SolverInput,
     /// Sub-task provenance: `(task index, allocation index)` per solver task.
     pub(crate) keys: Vec<(usize, usize)>,
@@ -1007,27 +1143,34 @@ impl Actuator for HostMachine {
         }
         if let Some(t) = self.tasks.get_mut(task.0) {
             t.allocations = allocations;
-            self.dirty.set(true);
+            self.mark_dirty();
         }
     }
 
     fn set_prefetchers(&mut self, task: HostTaskId, setting: PrefetchSetting) {
+        assert_valid(
+            check_finite(setting.enabled_fraction),
+            "invalid prefetcher setting",
+        );
         if self.actuation_fault {
             return;
         }
         if let Some(t) = self.tasks.get_mut(task.0) {
             t.prefetch = setting;
-            self.dirty.set(true);
+            self.mark_dirty();
         }
     }
 
     fn set_bw_cap(&mut self, task: HostTaskId, cap_gbps: Option<f64>) {
+        if let Some(cap) = cap_gbps {
+            assert_valid(check_finite(cap), "invalid bandwidth cap");
+        }
         if self.actuation_fault {
             return;
         }
         if let Some(t) = self.tasks.get_mut(task.0) {
             t.bw_cap = cap_gbps;
-            self.dirty.set(true);
+            self.mark_dirty();
         }
     }
 
@@ -1538,6 +1681,194 @@ mod tests {
             recovered, healthy,
             "cold restart reproduces the pre-fault report"
         );
+    }
+
+    /// The tags of `m`'s memo entries, in FIFO order.
+    fn tags(m: &HostMachine) -> Vec<(u64, Option<Vec<f64>>)> {
+        let cache = m.cache.borrow();
+        cache
+            .iter()
+            .map(|e| (e.epoch, e.phase.as_deref().map(<[f64]>::to_vec)))
+            .collect()
+    }
+
+    #[test]
+    fn phase_revisits_match_by_tag_and_other_revisits_by_scan() {
+        let mut m = machine(SncMode::Disabled);
+        let id = m.add_task(
+            stream_spec(4),
+            vec![CpuAllocation::local(DomainId::new(0, 0), 4)],
+        );
+        let f = m.add_flow(FixedFlow {
+            target: DomainId::new(0, 0),
+            source_socket: None,
+            gbps: 5.0,
+            weight: 1.0,
+        });
+        let epoch = m.epoch;
+        let first = m.solve();
+        m.set_intensity(id, 0.0);
+        m.set_flow_gbps(f, 0.0);
+        let idle = m.solve();
+        assert_eq!(m.epoch, epoch, "the phase setters keep the epoch");
+        assert_eq!(
+            tags(&m),
+            [(epoch, Some(vec![1.0, 5.0])), (epoch, Some(vec![0.0, 0.0]))]
+        );
+
+        // Back to the first phase: served by its tag, nothing re-tagged.
+        m.set_intensity(id, 1.0);
+        m.set_flow_gbps(f, 5.0);
+        assert_eq!(m.solve(), first);
+        assert_eq!(m.solve_stats().memo_hits, 1);
+        assert_eq!(m.solve_stats().solves, 3);
+
+        // A −0 intensity is the same phase as +0: the tag still matches.
+        m.set_intensity(id, -0.0);
+        m.set_flow_gbps(f, -0.0);
+        assert!(m.tasks[id.0].intensity.is_sign_negative());
+        assert_eq!(m.solve(), idle);
+        assert_eq!(m.solve_stats().memo_hits, 2);
+        assert_eq!(m.memo_snapshot().len(), 2);
+
+        // KP's revisit: prefetchers off and back on start two epochs, so
+        // the old tag misses and the scan finds the entry and re-tags it.
+        m.set_intensity(id, 1.0);
+        m.set_flow_gbps(f, 5.0);
+        m.set_prefetchers(id, PrefetchSetting::all_off());
+        let _ = m.solve();
+        m.set_prefetchers(id, PrefetchSetting::all_on());
+        assert_eq!(m.epoch, epoch + 2);
+        assert_eq!(m.solve(), first);
+        assert_eq!(m.solve_stats().memo_hits, 3);
+        assert_eq!(m.solve_stats().solves, 6);
+        assert_eq!(
+            tags(&m),
+            [
+                (epoch + 2, Some(vec![1.0, 5.0])),
+                (epoch, Some(vec![0.0, 0.0])),
+                (epoch + 1, Some(vec![1.0, 5.0])),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_input_holding_a_nan_is_never_served_from_the_memo() {
+        let mut m = machine(SncMode::Disabled);
+        let id = m.add_task(
+            stream_spec(4),
+            vec![CpuAllocation::local(DomainId::new(0, 0), 4)],
+        );
+        // The entry points reject a NaN, so plant one behind them: the tag
+        // must stay exact whatever reaches the input.
+        m.tasks[id.0].spec.mem_weight = f64::NAN;
+        let _ = m.solve();
+        m.set_intensity(id, 0.5);
+        let _ = m.solve();
+        m.set_intensity(id, 1.0);
+        let _ = m.solve();
+        // Neither the scan nor the tag matches a NaN: every dirty step
+        // solves and memoizes a new, untagged entry.
+        assert_eq!(m.solve_stats().memo_hits, 0);
+        assert_eq!(m.solve_stats().solves, 3);
+        assert_eq!(
+            tags(&m),
+            [(m.epoch, None), (m.epoch, None), (m.epoch, None)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid thread profile: non-finite MLP")]
+    fn add_task_rejects_a_nan_profile() {
+        let mut spec = stream_spec(4);
+        spec.profile.mlp = f64::NAN;
+        machine(SncMode::Disabled).add_task(spec, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid memory policy: non-finite placement fraction")]
+    fn add_task_rejects_a_nan_placement() {
+        let alloc = CpuAllocation {
+            domain: DomainId::new(0, 0),
+            cores: 4,
+            policy: crate::placement::MemPolicy::Split(vec![(DomainId::new(0, 0), f64::NAN)]),
+        };
+        machine(SncMode::Disabled).add_task(stream_spec(4), vec![alloc]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid memory weight: NaN is not finite")]
+    fn add_task_rejects_a_nan_memory_weight() {
+        let mut spec = stream_spec(4);
+        spec.mem_weight = f64::NAN;
+        machine(SncMode::Disabled).add_task(spec, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid intensity: NaN is not finite")]
+    fn set_intensity_rejects_nan() {
+        let mut m = machine(SncMode::Disabled);
+        let id = m.add_task(stream_spec(4), vec![]);
+        m.set_intensity(id, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid flow rate: NaN is not finite")]
+    fn add_flow_rejects_a_nan_rate() {
+        machine(SncMode::Disabled).add_flow(FixedFlow {
+            target: DomainId::new(0, 0),
+            source_socket: None,
+            gbps: f64::NAN,
+            weight: 1.0,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid flow rate: inf is not finite")]
+    fn set_flow_gbps_rejects_infinity() {
+        let mut m = machine(SncMode::Disabled);
+        let f = m.add_flow(FixedFlow {
+            target: DomainId::new(0, 0),
+            source_socket: None,
+            gbps: 5.0,
+            weight: 1.0,
+        });
+        m.set_flow_gbps(f, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid prefetcher setting: NaN is not finite")]
+    fn set_prefetchers_rejects_nan() {
+        let mut m = machine(SncMode::Disabled);
+        let id = m.add_task(stream_spec(4), vec![]);
+        m.set_prefetchers(
+            id,
+            PrefetchSetting {
+                enabled_fraction: f64::NAN,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid bandwidth cap: NaN is not finite")]
+    fn set_bw_cap_rejects_nan() {
+        let mut m = machine(SncMode::Disabled);
+        let id = m.add_task(stream_spec(4), vec![]);
+        m.set_bw_cap(id, Some(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SMT model: NaN is not finite")]
+    fn set_smt_rejects_a_nan_penalty() {
+        machine(SncMode::Disabled).set_smt(SmtModel {
+            two_thread_penalty: f64::NAN,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid brownout: NaN is not finite")]
+    fn set_brownout_rejects_nan() {
+        machine(SncMode::Disabled).set_brownout(f64::NAN);
     }
 
     #[test]

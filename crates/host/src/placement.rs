@@ -50,11 +50,17 @@ impl MemPolicy {
         }
     }
 
-    /// Validates that split fractions are non-negative and sum to ~1.
+    /// Validates that split fractions are finite, non-negative and sum to
+    /// ~1.
     pub fn validate(&self) -> Result<(), String> {
         match self {
             MemPolicy::Local => Ok(()),
             MemPolicy::Split(parts) => {
+                // Every comparison with a NaN is false, so a NaN would pass
+                // both tests below.
+                if parts.iter().any(|&(_, f)| !f.is_finite()) {
+                    return Err("non-finite placement fraction".into());
+                }
                 if parts.iter().any(|&(_, f)| f < 0.0) {
                     return Err("negative placement fraction".into());
                 }
@@ -428,6 +434,16 @@ mod tests {
             (DomainId::new(1, 0), 1.5),
         ]);
         assert!(negative.validate().is_err());
+        // A NaN passes both the sign test and the sum test, so it needs its
+        // own check; the sum test alone already caught an infinity.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let non_finite =
+                MemPolicy::Split(vec![(DomainId::new(0, 0), bad), (DomainId::new(1, 0), 1.0)]);
+            assert_eq!(
+                non_finite.validate(),
+                Err("non-finite placement fraction".to_string())
+            );
+        }
     }
 
     #[test]

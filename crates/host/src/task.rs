@@ -87,6 +87,22 @@ impl ThreadProfile {
 
     /// Validates the profile, returning the first problem found.
     pub fn validate(&self) -> Result<(), String> {
+        // Every comparison with a NaN is false, so a NaN would pass every
+        // test below.
+        let fields = [
+            ("compute time", self.compute_ns_per_unit),
+            ("access count", self.accesses_per_unit),
+            ("access size", self.bytes_per_access),
+            ("MLP", self.mlp),
+            ("working set", self.working_set_bytes),
+            ("hit_max", self.hit_max),
+            ("prefetch coverage", self.prefetch.coverage),
+            ("prefetch waste", self.prefetch.waste),
+            ("prefetch MLP boost", self.prefetch.mlp_boost),
+        ];
+        if let Some((name, _)) = fields.iter().find(|(_, v)| !v.is_finite()) {
+            return Err(format!("non-finite {name}"));
+        }
         if self.compute_ns_per_unit < 0.0 {
             return Err("negative compute time".into());
         }
@@ -173,6 +189,30 @@ mod tests {
         let mut p = ThreadProfile::compute_bound(100.0);
         p.compute_ns_per_unit = -1.0;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_fields() {
+        type Field = fn(&mut ThreadProfile) -> &mut f64;
+        let fields: [Field; 9] = [
+            |p| &mut p.compute_ns_per_unit,
+            |p| &mut p.accesses_per_unit,
+            |p| &mut p.bytes_per_access,
+            |p| &mut p.mlp,
+            |p| &mut p.working_set_bytes,
+            |p| &mut p.hit_max,
+            |p| &mut p.prefetch.coverage,
+            |p| &mut p.prefetch.waste,
+            |p| &mut p.prefetch.mlp_boost,
+        ];
+        for (i, field) in fields.iter().enumerate() {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut p = ThreadProfile::streaming(1e9);
+                *field(&mut p) = bad;
+                let err = p.validate().expect_err("a non-finite field is rejected");
+                assert!(err.starts_with("non-finite"), "field {i} = {bad}: {err}");
+            }
+        }
     }
 
     #[test]

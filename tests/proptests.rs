@@ -7,11 +7,17 @@
 
 use kelp::algorithm::{Action, KelpController, KelpControllerConfig};
 use kelp::policy::split_cores;
+use kelp_host::machine::FlowId;
+use kelp_host::{
+    Actuator, CpuAllocation, HostBatch, HostMachine, HostTaskId, MachineReport, MemPolicy,
+    Priority, SmtModel, TaskSpec, ThreadProfile,
+};
 use kelp_mem::latency::LatencyCurve;
 use kelp_mem::llc::{hit_ratio, CacheClass, CacheTask, CatAllocation, LlcModel};
 use kelp_mem::maxmin::{allocate, Flow};
-use kelp_mem::solver::{MemSystem, SolverInput, SolverTask, TaskKey};
-use kelp_mem::topology::{DomainId, MachineSpec, SncMode};
+use kelp_mem::prefetch::PrefetchSetting;
+use kelp_mem::solver::{FixedFlow, MemSystem, SolverInput, SolverTask, SolverTuning, TaskKey};
+use kelp_mem::topology::{DomainId, MachineSpec, SncMode, SocketId};
 use kelp_simcore::rng::SimRng;
 use kelp_simcore::stats::{OnlineStats, P2Quantile, SampleSet};
 
@@ -309,4 +315,195 @@ fn welford_merge() {
         assert!((a.mean() - all.mean()).abs() < 1e-6);
         assert!((a.variance() - all.variance()).abs() < 1e-4);
     });
+}
+
+/// Picks one of `values` with the next draw.
+fn pick<T: Clone>(rng: &mut SimRng, values: &[T]) -> T {
+    values[rng.below(values.len() as u64) as usize].clone()
+}
+
+/// A small host shaped like a fleet machine: an ML task, a batch task and
+/// a DMA flow.
+fn fleet_host() -> HostMachine {
+    let mut m = HostMachine::new(MachineSpec::dual_socket(), SncMode::Disabled);
+    m.add_task(
+        TaskSpec::new("ml", Priority::High, ThreadProfile::streaming(2e9), 4),
+        vec![CpuAllocation::local(DomainId::new(0, 0), 4)],
+    );
+    m.add_task(
+        TaskSpec::new("batch", Priority::Low, ThreadProfile::streaming(1e9), 8),
+        vec![CpuAllocation::local(DomainId::new(1, 0), 8)],
+    );
+    m.add_flow(FixedFlow {
+        target: DomainId::new(0, 0),
+        source_socket: None,
+        gbps: 2.0,
+        weight: 1.0,
+    });
+    m
+}
+
+/// One mutation of a host, from any of its mutators. Values come from
+/// small sets, so phases and whole configurations recur.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Intensity(HostTaskId, f64),
+    FlowRate(FlowId, f64),
+    Threads(HostTaskId, usize),
+    Remove(HostTaskId),
+    AddTask(CpuAllocation),
+    AddFlow(f64),
+    Allocations(HostTaskId, CpuAllocation),
+    Prefetchers(HostTaskId, f64),
+    BwCap(HostTaskId, Option<f64>),
+    Cat(u32),
+    Smt(f64),
+    LatencyAmplitude(f64),
+    Memo(bool),
+    Brownout(f64),
+    Stress(Option<f64>),
+    ActuationFault(bool),
+    Crash,
+    BeginRecovery,
+    Restore,
+}
+
+impl Mutation {
+    /// A mutation of a host that has handed out `tasks` task ids and
+    /// `flows` flow ids. Phase changes are most draws, as in a churning
+    /// fleet; the input-changing mutators come next, and the ones that
+    /// empty the memo are rarest, so that phases recur before it clears.
+    fn arb(rng: &mut SimRng, tasks: usize, flows: usize) -> Self {
+        let task = HostTaskId(rng.below(tasks as u64) as usize);
+        let flow = FlowId(rng.below(flows as u64) as usize);
+        match rng.below(64) {
+            0..=23 => Mutation::Intensity(task, pick(rng, &[0.0, -0.0, 0.25, 0.5, 1.0])),
+            24..=37 => Mutation::FlowRate(flow, pick(rng, &[0.0, -0.0, 2.0, 6.0])),
+            38..=40 => Mutation::Threads(task, pick(rng, &[0, 2, 4, 8])),
+            41 | 42 => Mutation::Remove(task),
+            43 | 44 => Mutation::AddTask(arb_allocation(rng)),
+            45 => Mutation::AddFlow(pick(rng, &[0.0, 3.0])),
+            46..=48 => Mutation::Allocations(task, arb_allocation(rng)),
+            49..=52 => Mutation::Prefetchers(task, pick(rng, &[0.0, 0.5, 1.0])),
+            53..=55 => Mutation::BwCap(task, pick(rng, &[None, Some(4.0), Some(12.0)])),
+            56 => Mutation::Smt(pick(rng, &[1.3, 1.45])),
+            57 => Mutation::ActuationFault(rng.chance(0.3)),
+            58 => Mutation::Cat(rng.below(6) as u32),
+            59 => Mutation::LatencyAmplitude(pick(rng, &[0.135, 0.3])),
+            60 => Mutation::Memo(rng.chance(0.7)),
+            61 => Mutation::Brownout(pick(rng, &[0.5, 1.0])),
+            62 => Mutation::Stress(pick(rng, &[None, Some(0.97)])),
+            _ => pick(
+                rng,
+                &[Mutation::Crash, Mutation::BeginRecovery, Mutation::Restore],
+            ),
+        }
+    }
+
+    fn apply(&self, m: &mut HostMachine) {
+        match *self {
+            Mutation::Intensity(task, level) => m.set_intensity(task, level),
+            Mutation::FlowRate(flow, rate) => m.set_flow_gbps(flow, rate),
+            Mutation::Threads(task, threads) => m.set_desired_threads(task, threads),
+            Mutation::Remove(task) => m.remove_task(task),
+            Mutation::AddTask(ref allocation) => {
+                let spec = TaskSpec::new("extra", Priority::Low, ThreadProfile::streaming(5e8), 4);
+                m.add_task(spec, vec![allocation.clone()]);
+            }
+            Mutation::AddFlow(gbps) => {
+                m.add_flow(FixedFlow {
+                    target: DomainId::new(1, 0),
+                    source_socket: Some(SocketId(0)),
+                    gbps,
+                    weight: 1.0,
+                });
+            }
+            Mutation::Allocations(task, ref allocation) => {
+                m.set_allocations(task, vec![allocation.clone()]);
+            }
+            Mutation::Prefetchers(task, fraction) => {
+                m.set_prefetchers(task, PrefetchSetting::fraction(fraction));
+            }
+            Mutation::BwCap(task, cap) => m.set_bw_cap(task, cap),
+            Mutation::Cat(hp_ways) => m.set_cat(if hp_ways == 0 {
+                CatAllocation::disabled(11)
+            } else {
+                CatAllocation::with_dedicated(11, hp_ways)
+            }),
+            Mutation::Smt(two_thread_penalty) => m.set_smt(SmtModel { two_thread_penalty }),
+            Mutation::LatencyAmplitude(amplitude) => m.mem_mut().set_latency_curve(LatencyCurve {
+                amplitude,
+                ..LatencyCurve::default()
+            }),
+            Mutation::Memo(memo) => m.set_solver_tuning(SolverTuning {
+                memo,
+                ..SolverTuning::default()
+            }),
+            Mutation::Brownout(retained) => m.set_brownout(retained),
+            Mutation::Stress(severity) => m.set_solver_stress(severity),
+            Mutation::ActuationFault(dropped) => m.set_actuation_fault(dropped),
+            Mutation::Crash => m.crash(),
+            Mutation::BeginRecovery => m.begin_recovery(),
+            Mutation::Restore => m.restore(),
+        }
+    }
+}
+
+fn arb_allocation(rng: &mut SimRng) -> CpuAllocation {
+    let socket = rng.below(2) as usize;
+    let policy = if rng.chance(0.5) {
+        MemPolicy::Local
+    } else {
+        MemPolicy::Split(vec![(DomainId::new(0, 0), 0.5), (DomainId::new(1, 0), 0.5)])
+    };
+    CpuAllocation {
+        domain: DomainId::new(socket, 0),
+        cores: pick(rng, &[2, 4, 8]),
+        policy,
+    }
+}
+
+/// A host's memo serves a phase it returns to by the entry's tag (epoch
+/// and phase values) without lowering, and anything else by input
+/// equality. Under random mutations from every mutator, between steps
+/// that keep returning to earlier phases and configurations, the scalar
+/// step and `HostBatch` agree on reports, solve stats and memo contents.
+/// In a debug build every tag hit also asserts that lowering the current
+/// configuration gives the entry's input, so a mutator that changes the
+/// input without starting a new epoch fails here.
+#[test]
+fn memo_tags_stay_exact_under_every_mutator() {
+    const HOSTS: usize = 3;
+    let mut memo_hits = 0u64;
+    for_cases(0x7A6_0E90C, |rng| {
+        let mut scalar: Vec<HostMachine> = (0..HOSTS).map(|_| fleet_host()).collect();
+        let mut batched = scalar.clone();
+        let mut ids = [(2usize, 1usize); HOSTS];
+        let mut batch = HostBatch::new();
+        let mut reports = vec![MachineReport::empty(); HOSTS];
+        for tick in 0..48 {
+            for (i, (tasks, flows)) in ids.iter_mut().enumerate() {
+                for _ in 0..rng.below(3) {
+                    let mutation = Mutation::arb(rng, *tasks, *flows);
+                    match mutation {
+                        Mutation::AddTask(_) => *tasks += 1,
+                        Mutation::AddFlow(_) => *flows += 1,
+                        _ => {}
+                    }
+                    mutation.apply(&mut scalar[i]);
+                    mutation.apply(&mut batched[i]);
+                }
+            }
+            let expected: Vec<MachineReport> = scalar.iter().map(HostMachine::solve).collect();
+            batch.step_into(&batched, &mut reports);
+            assert_eq!(reports, expected, "tick {tick}");
+            for (s, b) in scalar.iter().zip(&batched) {
+                assert_eq!(s.solve_stats(), b.solve_stats(), "tick {tick}");
+                assert_eq!(s.memo_snapshot(), b.memo_snapshot(), "tick {tick}");
+            }
+        }
+        memo_hits += batch.stats().memo_hits;
+    });
+    // Phases must recur for the property to say anything about tags.
+    assert!(memo_hits > 500, "only {memo_hits} memo hits");
 }

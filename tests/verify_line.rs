@@ -2,7 +2,8 @@
 //! the repository root. Without `--workspace` those commands cover only the
 //! root manifest's default members, so the members must include every crate.
 //! Every member must also inherit the workspace lints, or clippy stops
-//! gating it.
+//! gating it, and the workspace's `rust-version`, or the declared MSRV
+//! binds nothing.
 
 #[test]
 fn default_members_cover_every_crate() {
@@ -29,12 +30,9 @@ fn default_members_cover_every_crate() {
     );
 }
 
-/// The static rules live in the root manifest's `[workspace.lints]`
-/// (`forbid(unsafe_code)`, the bans on allow attributes and `dbg!`), and
-/// a member gets them only through its own `[lints] workspace = true`.
-/// Without that table a new crate would silently lose them.
-#[test]
-fn every_member_inherits_the_workspace_lints() {
+/// The root manifest and every `crates/*/Cargo.toml`, with their text.
+/// (`kelp_benchmark` is a workspace of its own and is not a member.)
+fn member_manifests() -> Vec<(String, String)> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut crates: Vec<String> = std::fs::read_dir(root.join("crates"))
         .expect("crates/ is readable")
@@ -44,16 +42,46 @@ fn every_member_inherits_the_workspace_lints() {
         .collect();
     crates.sort();
     assert!(!crates.is_empty(), "no crates/*/Cargo.toml found");
-    let missing: Vec<String> = std::iter::once("Cargo.toml".to_string())
+    std::iter::once("Cargo.toml".to_string())
         .chain(crates)
-        .filter(|manifest| {
+        .map(|manifest| {
             let text =
-                std::fs::read_to_string(root.join(manifest)).expect("the manifest is readable");
-            !text.contains("\n[lints]\nworkspace = true\n")
+                std::fs::read_to_string(root.join(&manifest)).expect("the manifest is readable");
+            (manifest, text)
         })
+        .collect()
+}
+
+/// The static rules live in the root manifest's `[workspace.lints]`
+/// (`forbid(unsafe_code)`, the bans on allow attributes and `dbg!`), and
+/// a member gets them only through its own `[lints] workspace = true`.
+/// Without that table a new crate would silently lose them.
+#[test]
+fn every_member_inherits_the_workspace_lints() {
+    let missing: Vec<String> = member_manifests()
+        .into_iter()
+        .filter(|(_, text)| !text.contains("\n[lints]\nworkspace = true\n"))
+        .map(|(manifest, _)| manifest)
         .collect();
     assert!(
         missing.is_empty(),
         "these manifests do not inherit the workspace lints ([lints] workspace = true): {missing:?}"
+    );
+}
+
+/// The root's `rust-version` binds a package only through its own
+/// `rust-version.workspace = true`: without the line, cargo does not check
+/// the toolchain and clippy lints as if the newest std were allowed, so
+/// code that needs a newer Rust than the declared one still passes.
+#[test]
+fn every_member_inherits_the_workspace_rust_version() {
+    let missing: Vec<String> = member_manifests()
+        .into_iter()
+        .filter(|(_, text)| !text.contains("\nrust-version.workspace = true\n"))
+        .map(|(manifest, _)| manifest)
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "these manifests do not inherit the workspace MSRV (rust-version.workspace = true): {missing:?}"
     );
 }
