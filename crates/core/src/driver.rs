@@ -9,8 +9,8 @@
 
 use crate::measure::{MeasurementAvg, Measurements};
 use crate::policy::{Policy, PolicyCtx, PolicyKind, PolicySnapshot};
-use kelp_host::{HostMachine, HostTaskId};
-use kelp_mem::solver::{FixedFlow, SolveStats, SolverScratch, SolverTuning};
+use kelp_host::{HostMachine, HostTaskId, StepScratch};
+use kelp_mem::solver::{FixedFlow, SolveStats, SolverTuning};
 use kelp_mem::topology::{MachineSpec, SocketId};
 use kelp_mem::MemCounters;
 use kelp_simcore::fault::{CounterFault, FaultInjector, FaultKind, FaultPlan};
@@ -71,23 +71,23 @@ impl ExperimentResult {
 type MemTweak = Box<dyn FnOnce(&mut kelp_mem::MemSystem)>;
 
 /// Reusable per-worker execution state threaded through
-/// [`ExperimentBuilder::run_with`]: the solver workspace survives from one
-/// experiment to the next, so a worker sweeping many specs stops
-/// rebuilding the solver arenas per spec. The workspace's warm-start state
-/// is reset before each adoption ([`SolverScratch::reset_warm_state`]),
-/// which is bit-identical to a fresh scratch — the scratch-reuse ≡ fresh
-/// contract `tests/solver_hot.rs` pins.
+/// [`ExperimentBuilder::run_with`]: the machine's step workspace (solver
+/// arenas and lowering buffer) survives from one experiment to the next,
+/// so a worker sweeping many specs stops rebuilding them per spec. The
+/// workspace's warm-start state is reset before each adoption
+/// ([`StepScratch::reset_warm_state`]), which is bit-identical to a fresh
+/// scratch — the scratch-reuse ≡ fresh contract `tests/solver_hot.rs` pins.
 #[derive(Debug)]
 pub struct ExecScratch {
-    /// Solver workspace handed machine-to-machine across specs.
-    solver: SolverScratch,
+    /// Step workspace handed machine-to-machine across specs.
+    solver: StepScratch,
 }
 
 impl ExecScratch {
     /// A fresh workspace (arenas grow on first use).
     pub fn new() -> Self {
         ExecScratch {
-            solver: SolverScratch::default(),
+            solver: StepScratch::default(),
         }
     }
 }

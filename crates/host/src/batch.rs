@@ -51,11 +51,16 @@ pub struct HostBatchStats {
 
 /// Reusable workspace for stepping a fleet of machines through the batched
 /// solve path. One `HostBatch` per worker thread; the underlying
-/// [`BatchSolver`] arenas are reused across calls.
+/// [`BatchSolver`] arenas and the lowering buffers of the pending lanes are
+/// reused across calls, so the machines themselves hold none.
 #[derive(Debug, Clone, Default)]
 pub struct HostBatch {
     solver: BatchSolver,
     stats: HostBatchStats,
+    /// Lowering buffers: pending lane `p` lowers into `pool[p]`.
+    pool: Vec<LoweredStep>,
+    /// Machine index of each pending lane.
+    pending: Vec<usize>,
 }
 
 impl HostBatch {
@@ -97,20 +102,32 @@ impl HostBatch {
     pub fn step_into(&mut self, machines: &[HostMachine], reports: &mut [MachineReport]) {
         let n = machines.len();
         assert_eq!(reports.len(), n, "one report slot per machine");
+        let HostBatch {
+            solver,
+            stats,
+            pool,
+            pending,
+        } = self;
         let mut filled = 0usize;
 
         // Phases 1 + 2: down machines, adaptive skips and memo hits drop
-        // out before the solver sees them. `serve` is the call the scalar
-        // path makes, so stats and reports stay bit-identical.
-        let mut pending: Vec<(usize, LoweredStep)> = Vec::new();
+        // out before the solver sees them. The `serve_*` calls are the ones
+        // the scalar path makes, so stats and reports stay bit-identical.
+        pending.clear();
         for (i, m) in machines.iter().enumerate() {
-            self.stats.machines_stepped = self.stats.machines_stepped.saturating_add(1);
-            let counter = match m.serve() {
-                Served::SafeState => &mut self.stats.down_steps,
-                Served::Replay => &mut self.stats.adaptive_skips,
-                Served::MemoHit => &mut self.stats.memo_hits,
-                Served::Solve(lowered) => {
-                    pending.push((i, lowered));
+            stats.machines_stepped = stats.machines_stepped.saturating_add(1);
+            let served = m.serve_unchanged().unwrap_or_else(|| {
+                if pool.len() == pending.len() {
+                    pool.push(LoweredStep::default());
+                }
+                m.serve_changed(&mut pool[pending.len()])
+            });
+            let counter = match served {
+                Served::SafeState => &mut stats.down_steps,
+                Served::Replay => &mut stats.adaptive_skips,
+                Served::MemoHit => &mut stats.memo_hits,
+                Served::Solve => {
+                    pending.push(i);
                     continue;
                 }
             };
@@ -125,11 +142,11 @@ impl HostBatch {
         // keeps lane order stable within each group; grouping cannot affect
         // results because lanes are independent.
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (p, (i, _)) in pending.iter().enumerate() {
-            let sys = machines[*i].mem();
+        for (p, &i) in pending.iter().enumerate() {
+            let sys = machines[i].mem();
             match groups
                 .iter_mut()
-                .find(|g| machines[pending[g[0]].0].mem() == sys)
+                .find(|g| machines[pending[g[0]]].mem() == sys)
             {
                 Some(g) => g.push(p),
                 None => groups.push(vec![p]),
@@ -137,39 +154,38 @@ impl HostBatch {
         }
 
         for group in &groups {
-            let rep_machine = &machines[pending[group[0]].0];
-            let inputs: Vec<&SolverInput> = group.iter().map(|&p| &pending[p].1.input).collect();
+            let rep_machine = &machines[pending[group[0]]];
+            let inputs: Vec<&SolverInput> = group.iter().map(|&p| &pool[p].input).collect();
             let mut borrows: Vec<std::cell::RefMut<'_, SolverScratch>> = group
                 .iter()
-                .map(|&p| machines[pending[p].0].scratch_mut())
+                .map(|&p| machines[pending[p]].scratch_mut())
                 .collect();
             let mut lanes: Vec<&mut SolverScratch> = borrows.iter_mut().map(|b| &mut **b).collect();
             let mut outputs = Vec::with_capacity(group.len());
             rep_machine
                 .mem()
-                .solve_batch_with(&inputs, &mut lanes, &mut self.solver, &mut outputs);
+                .solve_batch_with(&inputs, &mut lanes, solver, &mut outputs);
             drop(lanes);
             drop(borrows);
-            self.stats.lanes_solved = self.stats.lanes_solved.saturating_add(group.len() as u64);
-            self.stats.lanes_converged = self
-                .stats
+            stats.lanes_solved = stats.lanes_solved.saturating_add(group.len() as u64);
+            stats.lanes_converged = stats
                 .lanes_converged
-                .saturating_add(self.solver.last_converged_lanes() as u64);
+                .saturating_add(solver.last_converged_lanes() as u64);
 
-            for (&p, output) in group.iter().zip(&outputs) {
-                let (i, lowered) = &pending[p];
-                let m = &machines[*i];
+            for (&p, output) in group.iter().zip(outputs) {
+                let i = pending[p];
+                let m = &machines[i];
                 // Lane isolation: a diverged or non-finite lane resolves
                 // through the machine's rescue / safe-state ladder instead
                 // of shipping the damped estimate. `finish_solve` is the
                 // exact routine the scalar path runs, so a sick lane's
                 // report, stats and memo entry are path-invariant.
-                m.finish_solve(lowered, output);
+                m.finish_solve(&pool[p], output);
                 let report = m.last_report();
                 if report.health != SolveHealth::Healthy {
-                    self.stats.lane_fallbacks = self.stats.lane_fallbacks.saturating_add(1);
+                    stats.lane_fallbacks = stats.lane_fallbacks.saturating_add(1);
                 }
-                reports[*i].clone_from(&report);
+                reports[i].clone_from(&report);
                 filled += 1;
             }
         }
@@ -178,6 +194,10 @@ impl HostBatch {
             filled, n,
             "every slot is written by exactly one of the three phases"
         );
+        // Keep as many buffers as this step lowered into: a burst, such as
+        // a fleet's first step lowering every machine, stays pinned only
+        // until a quieter step.
+        pool.truncate(pending.len() + 1);
     }
 }
 

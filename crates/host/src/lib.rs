@@ -32,7 +32,8 @@ pub mod task;
 
 pub use batch::{HostBatch, HostBatchStats};
 pub use machine::{
-    Actuator, HostMachine, MachineLifecycle, MachineReport, ReportRows, SolveHealth, TaskStepResult,
+    Actuator, HostMachine, MachineLifecycle, MachineReport, ReportRows, SolveHealth, StepScratch,
+    TaskStepResult,
 };
 pub use placement::{CpuAllocation, FleetPlacer, MemPolicy, PlacementId, SmtModel};
 pub use task::{HostTaskId, Priority, TaskSpec, ThreadProfile};

@@ -18,8 +18,7 @@ use kelp_mem::solver::{
 };
 use kelp_mem::topology::{DomainId, SncMode};
 use kelp_mem::MemCounters;
-use std::cell::Ref;
-use std::collections::BTreeMap;
+use std::cell::{Ref, RefMut};
 use std::fmt;
 use std::sync::Arc;
 
@@ -279,8 +278,9 @@ pub struct HostMachine {
     /// lowered input, except the two phase setters, whose values a memo
     /// tag records instead. See [`MemoEntry`].
     epoch: u64,
-    /// Reused solver workspace; also carries warm-start state between ticks.
-    scratch: std::cell::RefCell<SolverScratch>,
+    /// Reused step workspace: the solver's (which carries warm-start state
+    /// between ticks) and the buffer a scalar step lowers into.
+    scratch: std::cell::RefCell<StepScratch>,
     /// Cumulative solve cost over this machine's lifetime.
     stats: std::cell::RefCell<SolveStats>,
     /// Memoization / warm-start toggles.
@@ -348,7 +348,7 @@ impl HostMachine {
             flows: Vec::new(),
             cache: std::cell::RefCell::new(Vec::new()),
             epoch: 0,
-            scratch: std::cell::RefCell::new(SolverScratch::default()),
+            scratch: std::cell::RefCell::new(StepScratch::default()),
             stats: std::cell::RefCell::new(SolveStats::default()),
             tuning: SolverTuning::default(),
             actuation_fault: false,
@@ -673,11 +673,14 @@ impl HostMachine {
     /// when this step has to rewrite the report: drop each loan before
     /// the next step.
     pub fn step(&self) -> Ref<'_, MachineReport> {
-        if let Served::Solve(lowered) = self.serve() {
-            let output = self
-                .mem
-                .solve_with(&lowered.input, &mut self.scratch.borrow_mut());
-            self.finish_solve(&lowered, &output);
+        if self.serve_unchanged().is_none() {
+            let mut scratch = self.scratch.borrow_mut();
+            let StepScratch { solver, lowered } = &mut *scratch;
+            let lowered = lowered.get_or_insert_with(Box::default);
+            if self.serve_changed(lowered) == Served::Solve {
+                let output = self.mem.solve_with(&lowered.input, solver);
+                self.finish_solve(lowered, output);
+            }
         }
         self.last_report()
     }
@@ -687,17 +690,16 @@ impl HostMachine {
         self.report.borrow()
     }
 
-    /// Serves the step from state the machine already has — the safe
-    /// state of a down machine, the replay of a clean one, or a memo hit by
-    /// tag or, after lowering, by input — and counts it; otherwise returns
-    /// the lowered configuration for a solve that
-    /// [`HostMachine::finish_solve`] completes. Shared verbatim by the
-    /// scalar and batch paths so their reports, stats and memo contents
+    /// Serves the step from state the machine already has, without
+    /// lowering — the safe state of a down machine or the replay of a clean
+    /// one — and counts it; `None` when the configuration changed, for
+    /// [`HostMachine::serve_changed`]. The two are the calls the scalar and
+    /// batch paths both make, so their reports, stats and memo contents
     /// (tags included) stay bit-identical.
-    pub(crate) fn serve(&self) -> Served {
+    pub(crate) fn serve_unchanged(&self) -> Option<Served> {
         if !self.lifecycle.is_serving() {
             self.safe_step();
-            return Served::SafeState;
+            return Some(Served::SafeState);
         }
         // Clean machine: the lowered input would be bit-identical to the
         // previous step's, whose report is still memoized (FIFO eviction
@@ -705,16 +707,26 @@ impl HostMachine {
         // report is the one the machine already holds.
         if self.tuning.memo && !self.is_dirty() && self.replayable.get() {
             self.note_memo_hit();
-            return Served::Replay;
+            return Some(Served::Replay);
         }
+        None
+    }
+
+    /// Serves a changed configuration from the memo — by tag, or after
+    /// lowering into `lowered`, by input — and counts it; otherwise leaves
+    /// the configuration lowered for a solve that
+    /// [`HostMachine::finish_solve`] completes. Kept out of line, so the
+    /// replay branch, most steps of a sweep, stays small.
+    #[inline(never)]
+    pub(crate) fn serve_changed(&self, lowered: &mut LoweredStep) -> Served {
         if self.tuning.memo && self.tag_hit() {
             return Served::MemoHit;
         }
-        let lowered = self.lower();
+        self.lower_into(lowered);
         if self.tuning.memo && self.memo_hit(&lowered.input) {
             return Served::MemoHit;
         }
-        Served::Solve(lowered)
+        Served::Solve
     }
 
     /// One non-serving (`Down`/`Recovering`) step: counts a safe-state
@@ -762,9 +774,9 @@ impl HostMachine {
     /// costs and ladder counters into the machine's stats — the scalar path
     /// and the batch path both resolve through here, so stats and reports
     /// are identical no matter which path ran the primary solve.
-    fn resolve_output(&self, lowered: &LoweredStep, output: &SolverOutput) -> MachineReport {
+    fn resolve_output(&self, lowered: &LoweredStep, output: SolverOutput) -> MachineReport {
         self.absorb_stats(&output.stats);
-        if output_is_healthy(output) {
+        if output_is_healthy(&output) {
             return self.assemble(lowered, output).into();
         }
         let rescue = self.mem.solve_rescue(&lowered.input);
@@ -779,7 +791,7 @@ impl HostMachine {
         // diverging rescue falls through to the safe state rather than
         // shipping a one-iteration estimate.
         if rescue.converged && finite_rates(&rescue) {
-            let mut rows = self.assemble(lowered, &rescue);
+            let mut rows = self.assemble(lowered, rescue);
             rows.health = SolveHealth::Rescued;
             return rows.into();
         }
@@ -790,65 +802,81 @@ impl HostMachine {
         self.safe_report(false)
     }
 
+    /// Lowers the current configuration into a fresh [`LoweredStep`].
+    fn lower(&self) -> LoweredStep {
+        let mut lowered = LoweredStep::default();
+        self.lower_into(&mut lowered);
+        lowered
+    }
+
     /// Lowers the current configuration to a solver input (steps 1–3 of a
-    /// solve: thread distribution, SMT fitting, solver-task construction).
-    pub(crate) fn lower(&self) -> LoweredStep {
+    /// solve: thread distribution, SMT fitting, solver-task construction),
+    /// rewriting `out` in place: once its buffers have grown, lowering
+    /// allocates nothing.
+    pub(crate) fn lower_into(&self, out: &mut LoweredStep) {
+        let LoweredStep {
+            input,
+            owners,
+            sub,
+            domains,
+            spare_data,
+        } = out;
+        let machine = self.mem.machine();
+        let smt_ways = |d: DomainId| machine.socket(d.socket).smt_ways;
+        let capacity = |a: &CpuAllocation| (a.cores * smt_ways(a.domain)) as f64;
+
         // 1. Distribute each task's desired threads over its allocations,
         //    proportional to allocation capacity.
-        // Sub-task key: (task index, allocation index).
-        let mut sub: Vec<(usize, usize, f64)> = Vec::new(); // (task, alloc, threads)
-        let smt_ways = |d: DomainId| self.mem.machine().socket(d.socket).smt_ways;
+        sub.clear();
         for (ti, t) in self.tasks.iter().enumerate() {
             if !t.alive || t.intensity <= 0.0 || t.spec.desired_threads == 0 {
                 continue;
             }
-            let caps: Vec<f64> = t
-                .allocations
-                .iter()
-                .map(|a| (a.cores * smt_ways(a.domain)) as f64)
-                .collect();
-            let total_cap: f64 = caps.iter().sum();
+            let total_cap: f64 = t.allocations.iter().map(capacity).sum();
             if total_cap <= 0.0 {
                 continue;
             }
             let want = (t.spec.desired_threads as f64).min(total_cap);
-            for (ai, cap) in caps.iter().enumerate() {
-                let threads = want * cap / total_cap;
+            for (ai, a) in t.allocations.iter().enumerate() {
+                let threads = want * capacity(a) / total_cap;
                 if threads > 0.0 {
                     sub.push((ti, ai, threads));
                 }
             }
         }
 
-        // 2. Per-domain SMT fitting over the *sum* of threads in the domain.
-        let mut domain_threads: BTreeMap<DomainId, f64> = BTreeMap::new();
-        for &(ti, ai, threads) in &sub {
+        // 2. Per-domain SMT fitting over the *sum* of threads in the domain,
+        //    in a dense table over the canonical domains.
+        domains.clear();
+        domains.resize(2 * machine.socket_count(), DomainFit::default());
+        for &(ti, ai, threads) in sub.iter() {
             let d = self
                 .mem
                 .canonical_domain(self.tasks[ti].allocations[ai].domain);
-            *domain_threads.entry(d).or_default() += threads;
+            domains[domain_slot(d)].threads += threads;
         }
-        let mut domain_fit: BTreeMap<DomainId, (f64, f64)> = BTreeMap::new(); // (scale, multiplier)
-        for (&d, &threads) in &domain_threads {
-            let cores = self.domain_cores(d);
-            let out = self.smt.fit(threads, cores, smt_ways(d));
-            let scale = if threads > 0.0 {
-                out.effective_threads / threads
-            } else {
-                1.0
-            };
-            domain_fit.insert(d, (scale, out.compute_multiplier));
+        for (slot, fit) in domains.iter_mut().enumerate() {
+            if fit.threads > 0.0 {
+                let d = DomainId::new(slot / 2, (slot % 2) as u8);
+                let out = self.smt.fit(fit.threads, self.domain_cores(d), smt_ways(d));
+                fit.scale = out.effective_threads / fit.threads;
+                fit.multiplier = out.compute_multiplier;
+            }
         }
 
-        // 3. Lower to solver tasks.
-        let mut solver_tasks = Vec::with_capacity(sub.len());
-        let mut keys: Vec<(usize, usize)> = Vec::with_capacity(sub.len());
-        let mut sub_eff: Vec<f64> = Vec::with_capacity(sub.len());
+        // 3. Lower to solver tasks, reusing the previous tasks' placement
+        //    buffers.
+        spare_data.extend(input.tasks.drain(..).map(|t| t.data));
+        owners.clear();
         for (k, &(ti, ai, threads)) in sub.iter().enumerate() {
             let t = &self.tasks[ti];
             let a = &t.allocations[ai];
             let home = self.mem.canonical_domain(a.domain);
-            let (scale, domain_mult) = domain_fit[&home];
+            let DomainFit {
+                scale,
+                multiplier: domain_mult,
+                ..
+            } = domains[domain_slot(home)];
             // A task oversubscribing its own cpuset SMT-pairs with itself
             // even when the domain has idle cores elsewhere.
             let alloc_mult = if a.cores > 0 {
@@ -860,18 +888,18 @@ impl HostMachine {
             };
             let smt_mult = domain_mult.max(alloc_mult);
             let p = &t.spec.profile;
-            let eff = threads * scale * t.intensity;
-            sub_eff.push(eff);
-            solver_tasks.push(SolverTask {
-                key: TaskKey(k),
-                threads: eff,
-                home,
-                data: a
-                    .policy
+            let mut data = spare_data.pop().unwrap_or_default();
+            data.clear();
+            data.extend(
+                a.policy
                     .data_fractions(a.domain)
-                    .into_iter()
-                    .map(|(d, f)| (self.mem.canonical_domain(d), f))
-                    .collect(),
+                    .map(|(d, f)| (self.mem.canonical_domain(d), f)),
+            );
+            input.tasks.push(SolverTask {
+                key: TaskKey(k),
+                threads: threads * scale * t.intensity,
+                home,
+                data,
                 compute_ns_per_unit: p.compute_ns_per_unit * smt_mult,
                 accesses_per_unit: p.accesses_per_unit,
                 bytes_per_access: p.bytes_per_access,
@@ -885,17 +913,10 @@ impl HostMachine {
                 bw_cap_gbps: t.bw_cap,
                 distress_exempt: false,
             });
-            keys.push((ti, ai));
+            owners.push(ti);
         }
-
-        LoweredStep {
-            input: SolverInput {
-                tasks: solver_tasks,
-                fixed_flows: self.flows.clone(),
-            },
-            keys,
-            sub_eff,
-        }
+        input.fixed_flows.clear();
+        input.fixed_flows.extend_from_slice(&self.flows);
     }
 
     /// The phase values: every task's intensity, then every flow's rate.
@@ -963,8 +984,8 @@ impl HostMachine {
 
     /// This machine's solver workspace (warm-start state included), for the
     /// batch path to thread through [`MemSystem::solve_batch_with`].
-    pub(crate) fn scratch_mut(&self) -> std::cell::RefMut<'_, SolverScratch> {
-        self.scratch.borrow_mut()
+    pub(crate) fn scratch_mut(&self) -> RefMut<'_, SolverScratch> {
+        RefMut::map(self.scratch.borrow_mut(), |s| &mut s.solver)
     }
 
     /// Inserts a computed report into the memo cache (FIFO eviction),
@@ -995,11 +1016,12 @@ impl HostMachine {
             .collect()
     }
 
-    /// Completes a step that [`HostMachine::serve`] could not serve: walks
-    /// the solver output through the fallback ladder, memoizes the result
-    /// and moves it into the machine's report. The scalar and batch paths
-    /// both finish through here, so a solved step is path-invariant.
-    pub(crate) fn finish_solve(&self, lowered: &LoweredStep, output: &SolverOutput) {
+    /// Completes a step that [`HostMachine::serve_changed`] could not
+    /// serve: walks the solver output through the fallback ladder,
+    /// memoizes the result and moves it into the machine's report. The
+    /// scalar and batch paths both finish through here, so a solved step
+    /// is path-invariant.
+    pub(crate) fn finish_solve(&self, lowered: &LoweredStep, output: SolverOutput) {
         let report = self.resolve_output(lowered, output);
         self.memo_put(&lowered.input, &report);
         *self.report.borrow_mut() = report;
@@ -1013,58 +1035,69 @@ impl HostMachine {
         self.dirty.set(false);
     }
 
-    /// Replaces the machine's solver workspace with `scratch` — the
+    /// Replaces the machine's step workspace with `scratch` — the
     /// cross-spec machine-reuse hook: a worker that retires one experiment
-    /// hands the (warm-state-reset) arena to the next machine it builds, so
-    /// the solver's table and buffer allocations amortize across specs.
-    /// Callers must [`SolverScratch::reset_warm_state`] first; every other
-    /// table in the scratch is rebuilt per solve, so a reset transplanted
-    /// scratch is bit-identical to a fresh one.
-    pub fn adopt_scratch(&mut self, scratch: SolverScratch) {
+    /// hands the (warm-state-reset) arenas to the next machine it builds,
+    /// so the solver's and the lowering's allocations amortize across
+    /// specs. Callers must [`StepScratch::reset_warm_state`] first; every
+    /// other table in the scratch is rebuilt per step, so a reset
+    /// transplanted scratch is bit-identical to a fresh one.
+    pub fn adopt_scratch(&mut self, scratch: StepScratch) {
         *self.scratch.borrow_mut() = scratch;
     }
 
-    /// Takes the machine's solver workspace, leaving a default in place
-    /// (the other half of the [`HostMachine::adopt_scratch`] reuse cycle).
-    pub fn take_scratch(&mut self) -> SolverScratch {
+    /// Takes the machine's step workspace, leaving a default in place (the
+    /// other half of the [`HostMachine::adopt_scratch`] reuse cycle).
+    pub fn take_scratch(&mut self) -> StepScratch {
         std::mem::take(&mut *self.scratch.borrow_mut())
     }
 
     /// Aggregates a solver output into the per-task report rows (step 4 of
-    /// a solve).
-    fn assemble(&self, lowered: &LoweredStep, output: &SolverOutput) -> ReportRows {
-        let LoweredStep { keys, sub_eff, .. } = lowered;
-        // 4. Aggregate sub-task results per task. Lowering only emits
-        //    sub-tasks of live tasks, so every key has a row.
-        let mut results = self.zero_task_rows();
-        for (res, &(ti, _ai)) in output.tasks.iter().zip(keys) {
-            let Some((_, entry)) = results.iter_mut().find(|(id, _)| id.0 == ti) else {
+    /// a solve), moving the output's flow rates and counters into them.
+    fn assemble(&self, lowered: &LoweredStep, output: SolverOutput) -> ReportRows {
+        let SolverOutput {
+            tasks: results,
+            fixed_flow_gbps,
+            counters,
+            converged,
+            ..
+        } = output;
+        // 4. Aggregate sub-task results per task. Lowering emits the
+        //    sub-tasks of live tasks only, grouped by task in id order, so
+        //    one walk over the tasks consumes them all.
+        let mut subs = results.iter().zip(&lowered.owners).peekable();
+        let mut rows = Vec::new();
+        for (ti, t) in self.tasks.iter().enumerate() {
+            if !t.alive {
                 continue;
-            };
-            // Threads the solver actually ran for this sub-task (after SMT
-            // scaling and intensity).
-            let w = sub_eff[res.key.0];
-            entry.units_per_sec += res.rate_per_thread * w;
-            entry.bw_gbps += res.bw_gbps;
-            entry.latency_ns += res.latency_ns * w;
-            entry.llc_hit_ratio += res.llc_hit_ratio * w;
-            entry.effective_threads += w;
-            if res.speed_factor < entry.speed_factor {
-                entry.speed_factor = res.speed_factor;
             }
-        }
-        for (_, r) in &mut results {
-            if r.effective_threads > 0.0 {
-                r.latency_ns /= r.effective_threads;
-                r.llc_hit_ratio /= r.effective_threads;
+            let mut row = TaskStepResult::zero();
+            while let Some((res, _)) = subs.next_if(|&(_, &owner)| owner == ti) {
+                // Threads the solver actually ran for this sub-task (after
+                // SMT scaling and intensity).
+                let w = lowered.input.tasks[res.key.0].threads;
+                row.units_per_sec += res.rate_per_thread * w;
+                row.bw_gbps += res.bw_gbps;
+                row.latency_ns += res.latency_ns * w;
+                row.llc_hit_ratio += res.llc_hit_ratio * w;
+                row.effective_threads += w;
+                if res.speed_factor < row.speed_factor {
+                    row.speed_factor = res.speed_factor;
+                }
             }
+            if row.effective_threads > 0.0 {
+                row.latency_ns /= row.effective_threads;
+                row.llc_hit_ratio /= row.effective_threads;
+            }
+            rows.push((HostTaskId(ti), row));
         }
+        debug_assert!(subs.next().is_none(), "a sub-task without a live task");
 
         ReportRows {
-            tasks: results,
-            flows: output.fixed_flow_gbps.clone(),
-            counters: output.counters.clone(),
-            converged: output.converged,
+            tasks: rows,
+            flows: fixed_flow_gbps,
+            counters,
+            converged,
             health: SolveHealth::Healthy,
         }
     }
@@ -1109,19 +1142,63 @@ fn finite_rates(o: &SolverOutput) -> bool {
 }
 
 /// A lowered solver input plus the sub-task bookkeeping needed to aggregate
-/// the solver's output back into a [`MachineReport`].
-#[derive(Debug, Clone)]
+/// the solver's output back into a [`MachineReport`], and the lowering's
+/// working buffers. Lowering rewrites it in place, so a reused one makes
+/// lowering allocation-free.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LoweredStep {
     /// The solver input (also the memo entry's exact key).
     pub(crate) input: SolverInput,
-    /// Sub-task provenance: `(task index, allocation index)` per solver task.
-    pub(crate) keys: Vec<(usize, usize)>,
-    /// Effective threads per sub-task (aggregation weights).
-    pub(crate) sub_eff: Vec<f64>,
+    /// Owning task index per solver task (non-decreasing).
+    owners: Vec<usize>,
+    /// Sub-tasks: `(task index, allocation index, threads)`.
+    sub: Vec<(usize, usize, f64)>,
+    /// Per canonical domain, at [`domain_slot`]: summed threads and fit.
+    domains: Vec<DomainFit>,
+    /// Placement buffers of earlier solver tasks, for reuse.
+    spare_data: Vec<Vec<(DomainId, f64)>>,
 }
 
-/// How [`HostMachine::serve`] answered a step.
-#[derive(Debug)]
+/// One canonical domain's SMT fit during lowering.
+#[derive(Debug, Clone, Copy, Default)]
+struct DomainFit {
+    /// Sub-task threads homed in the domain.
+    threads: f64,
+    /// Effective over requested threads.
+    scale: f64,
+    /// Per-thread compute-time multiplier.
+    multiplier: f64,
+}
+
+/// Dense index of a canonical domain: `socket * 2 + sub`, as the solver's
+/// domain lookup table.
+fn domain_slot(d: DomainId) -> usize {
+    d.socket.0 * 2 + usize::from(d.sub)
+}
+
+/// A machine's reusable step workspace: the solver's scratch, with its
+/// warm-start state, and the buffer a scalar step lowers into. A worker
+/// that retires one machine hands it to the next
+/// ([`HostMachine::take_scratch`], [`HostMachine::adopt_scratch`]).
+#[derive(Debug, Clone, Default)]
+pub struct StepScratch {
+    solver: SolverScratch,
+    /// Made by the first scalar step, so a machine stepped only through a
+    /// [`crate::HostBatch`], which lowers into its own pool, holds none.
+    lowered: Option<Box<LoweredStep>>,
+}
+
+impl StepScratch {
+    /// Forgets the solver's warm-start state (see
+    /// [`SolverScratch::reset_warm_state`]).
+    pub fn reset_warm_state(&mut self) {
+        self.solver.reset_warm_state();
+    }
+}
+
+/// How a step was served ([`HostMachine::serve_unchanged`],
+/// [`HostMachine::serve_changed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Served {
     /// `Down`/`Recovering`: the safe-state report.
     SafeState,
@@ -1129,8 +1206,8 @@ pub(crate) enum Served {
     Replay,
     /// A changed configuration found in the memo cache.
     MemoHit,
-    /// Needs a solve of this lowered input.
-    Solve(LoweredStep),
+    /// Needs a solve of the input it lowered.
+    Solve,
 }
 
 impl Actuator for HostMachine {

@@ -43,11 +43,12 @@ pub enum MemPolicy {
 
 impl MemPolicy {
     /// Resolves to data placement fractions given the allocation's domain.
-    pub fn data_fractions(&self, home: DomainId) -> Vec<(DomainId, f64)> {
-        match self {
-            MemPolicy::Local => vec![(home, 1.0)],
-            MemPolicy::Split(parts) => parts.clone(),
-        }
+    pub fn data_fractions(&self, home: DomainId) -> impl Iterator<Item = (DomainId, f64)> + '_ {
+        let (local, parts) = match self {
+            MemPolicy::Local => (Some((home, 1.0)), &[][..]),
+            MemPolicy::Split(parts) => (None, parts.as_slice()),
+        };
+        local.into_iter().chain(parts.iter().copied())
     }
 
     /// Validates that split fractions are finite, non-negative and sum to
@@ -416,7 +417,7 @@ mod tests {
     fn local_policy_points_home() {
         let p = MemPolicy::Local;
         let home = DomainId::new(0, 1);
-        assert_eq!(p.data_fractions(home), vec![(home, 1.0)]);
+        assert_eq!(p.data_fractions(home).collect::<Vec<_>>(), [(home, 1.0)]);
         assert_eq!(p.validate(), Ok(()));
     }
 

@@ -38,6 +38,8 @@ struct LaneRange {
     idx_start: usize,
     flow_start: usize,
     flow_end: usize,
+    usage_start: usize,
+    usage_end: usize,
     /// Whether this lane was warm-started from its machine's scratch.
     warm: bool,
 }
@@ -122,6 +124,7 @@ impl MemSystem {
             let member_start = batch.lane.member_start.len();
             let idx_start = batch.lane.member_idx.len();
             let flow_start = batch.lane.flows.len();
+            let usage_start = batch.lane.usage.len();
             let rate_start = batch.rates.len();
             self.append_lane(
                 input,
@@ -154,6 +157,8 @@ impl MemSystem {
                 idx_start,
                 flow_start,
                 flow_end: batch.lane.flows.len(),
+                usage_start,
+                usage_end: batch.lane.usage.len(),
                 warm,
             });
             batch.lane_ends.push(batch.rates.len());
@@ -221,6 +226,7 @@ fn lane_view<'a>(lane: &'a mut LaneTables, r: &LaneRange, n_domains: usize) -> L
         member_start: &lane.member_start[r.member_start..r.member_start + n_domains + 1],
         member_idx: &lane.member_idx[r.idx_start..r.idx_start + (r.task_end - r.task_start)],
         flows: &mut lane.flows[r.flow_start..r.flow_end],
+        usage: &lane.usage[r.usage_start..r.usage_end],
         flow_refs: &lane.flow_refs[r.flow_start..r.flow_end],
     }
 }

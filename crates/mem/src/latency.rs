@@ -30,6 +30,12 @@ impl LatencyCurve {
     /// `rho` (clamped to `[0, 1]`).
     pub fn loaded_ns(&self, base_ns: f64, rho: f64) -> f64 {
         let rho = rho.clamp(0.0, 1.0);
+        // An idle controller: `0^k` is a zero for `k > 0`, so with a finite
+        // amplitude the queueing term is a zero, `1 + ±0 = 1` exactly, and
+        // the `powf` can be skipped.
+        if rho == 0.0 && self.exponent > 0.0 && self.amplitude.is_finite() {
+            return base_ns;
+        }
         let pole = 1.0 - rho.min(self.rho_cap);
         base_ns * (1.0 + self.amplitude * rho.powf(self.exponent) / pole)
     }

@@ -137,23 +137,30 @@ impl LlcModel {
         let hp_capacity = self.capacity_bytes * self.cat.high_priority_fraction();
         let shared_capacity = self.capacity_bytes * self.cat.shared_fraction();
 
-        let occupancy_weight = |t: &CacheTask| t.access_rate.max(0.0).sqrt();
-        let pool_rate = |class: CacheClass| -> f64 {
-            tasks
-                .iter()
-                .filter(|t| t.class == class)
-                .map(occupancy_weight)
-                .sum()
-        };
-        let pool_count =
-            |class: CacheClass| -> usize { tasks.iter().filter(|t| t.class == class).count() };
-        let hp_rate = pool_rate(CacheClass::HighPriority);
-        let shared_rate = pool_rate(CacheClass::Shared);
-        let hp_n = pool_count(CacheClass::HighPriority);
-        let shared_n = pool_count(CacheClass::Shared);
-
+        // One pass: each task's occupancy weight sqrt(rate), parked in its
+        // output slot, and the per-class sums in task order.
+        let (mut hp_rate, mut shared_rate) = (0.0, 0.0);
+        let (mut hp_n, mut shared_n) = (0usize, 0usize);
         out.clear();
         out.extend(tasks.iter().map(|t| {
+            let weight = t.access_rate.max(0.0).sqrt();
+            match t.class {
+                CacheClass::HighPriority => {
+                    hp_rate += weight;
+                    hp_n += 1;
+                }
+                CacheClass::Shared => {
+                    shared_rate += weight;
+                    shared_n += 1;
+                }
+            }
+            CacheShare {
+                capacity: weight,
+                hit_ratio: 0.0,
+            }
+        }));
+
+        for (share, t) in out.iter_mut().zip(tasks) {
             let (pool_cap, rate_sum, n) = match t.class {
                 CacheClass::HighPriority => {
                     // With CAT off the "dedicated" pool is empty: HP tasks
@@ -177,14 +184,13 @@ impl LlcModel {
             } else if rate_sum <= 0.0 {
                 pool_cap / n as f64
             } else {
-                pool_cap * occupancy_weight(t) / rate_sum
+                pool_cap * share.capacity / rate_sum
             };
-            let hit_ratio = hit_ratio(t.working_set, capacity, t.hit_max);
-            CacheShare {
+            *share = CacheShare {
                 capacity,
-                hit_ratio,
-            }
-        }));
+                hit_ratio: hit_ratio(t.working_set, capacity, t.hit_max),
+            };
+        }
     }
 }
 
@@ -202,7 +208,14 @@ pub fn hit_ratio(ws: f64, capacity: f64, hit_max: f64) -> f64 {
     if capacity <= 0.0 {
         return 0.0;
     }
-    hit_max * (capacity / ws).min(1.0).sqrt()
+    let fill = capacity / ws;
+    // A set that fits (or a NaN fill, which `f64::min` also reads as 1)
+    // keeps `hit_max * sqrt(1) = hit_max`: skip the `sqrt`.
+    if fill < 1.0 {
+        hit_max * fill.sqrt()
+    } else {
+        hit_max
+    }
 }
 
 #[cfg(test)]

@@ -60,6 +60,22 @@ impl Allocation {
     }
 }
 
+/// A [`Flow`] in the flat layout: its `(resource, coefficient)` pairs are
+/// `usage[start..end]` of one array shared by every flow of a problem, so a
+/// caller that rebuilds its flows per solve reuses two buffers instead of
+/// one `Vec` per flow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlatFlow {
+    /// Maximum rate this flow wants (GB/s). Must be `>= 0`.
+    pub demand: f64,
+    /// Arbitration weight. Must be `> 0`.
+    pub weight: f64,
+    /// Start of this flow's usage pairs.
+    pub start: usize,
+    /// End (exclusive) of this flow's usage pairs.
+    pub end: usize,
+}
+
 /// Reusable working memory for [`allocate_into`].
 ///
 /// Holds the progressive-filling bookkeeping buffers so a caller that
@@ -77,70 +93,161 @@ pub struct AllocScratch {
 /// `capacities[r]` is the capacity of resource `r` in GB/s. Flows with zero
 /// demand get zero. Flows referencing a zero-capacity resource get zero.
 ///
-/// Allocating convenience wrapper around [`allocate_into`]; the two are
-/// bit-identical for the same inputs.
+/// Allocating convenience wrapper around [`allocate_into`]: it flattens
+/// `flows` into the [`FlatFlow`] layout, so the two are bit-identical for
+/// the same inputs.
 ///
 /// # Panics
 ///
 /// Panics if a flow references an out-of-range resource, has a non-positive
 /// weight, a negative demand, or a non-positive usage coefficient.
 pub fn allocate(flows: &[Flow], capacities: &[f64]) -> Allocation {
+    let (mut flat, mut usage) = (Vec::new(), Vec::new());
+    flatten_into(flows, &mut flat, &mut usage);
     let mut rates = Vec::new();
     let mut used = Vec::new();
     let mut scratch = AllocScratch::default();
-    allocate_into(flows, capacities, &mut rates, &mut used, &mut scratch);
+    allocate_into(
+        &flat,
+        &usage,
+        capacities,
+        &mut rates,
+        &mut used,
+        &mut scratch,
+    );
     Allocation { rates, used }
 }
 
-/// In-place core of [`allocate`]: writes per-flow rates and per-resource
-/// usage into caller-owned buffers, reusing `scratch` for all intermediate
-/// state. On reused buffers with sufficient capacity the call performs no
-/// allocation.
+/// Appends `flows` to the flat layout: each flow's usage pairs go to the
+/// end of `usage`, and its [`FlatFlow`], addressing them, to `flat`.
+pub fn flatten_into(flows: &[Flow], flat: &mut Vec<FlatFlow>, usage: &mut Vec<(usize, f64)>) {
+    for f in flows {
+        let start = usage.len();
+        usage.extend_from_slice(&f.usage);
+        flat.push(FlatFlow {
+            demand: f.demand,
+            weight: f.weight,
+            start,
+            end: usage.len(),
+        });
+    }
+}
+
+/// Headroom of the exit in [`allocate_into`]: a resource qualifies when its
+/// total live demand is at most `cap - (HEADROOM * cap + HEADROOM)`.
+const HEADROOM: f64 = 1e-6;
+
+/// Largest demand for which the exit is exact: below it, the `1e-9` freeze
+/// tolerance absorbs the rounding of `weight * (demand / weight)`, so a
+/// flow reaching its demand level always freezes at its demand.
+const EXACT_DEMAND_LIMIT: f64 = 4_194_304.0; // 2^22
+
+/// In-place core of [`allocate`] over the flat layout: flow `i` uses the
+/// pairs `usage[flows[i].start..flows[i].end]`. Writes per-flow rates and
+/// per-resource usage into caller-owned buffers, reusing `scratch` for all
+/// intermediate state. On reused buffers with sufficient capacity the call
+/// performs no allocation.
+///
+/// When every resource has headroom for the total demand of the live flows
+/// through it, the call skips progressive filling and gives every live flow
+/// its demand: filling would freeze each of them at its demand before any
+/// resource saturates (DESIGN.md §3b), so the result is bit-identical.
+/// Returns whether this headroom exit answered.
 ///
 /// # Panics
 ///
 /// Same contract as [`allocate`].
 pub fn allocate_into(
-    flows: &[Flow],
+    flows: &[FlatFlow],
+    usage: &[(usize, f64)],
     capacities: &[f64],
     rates: &mut Vec<f64>,
     used: &mut Vec<f64>,
     scratch: &mut AllocScratch,
-) {
-    for f in flows {
-        assert!(f.weight > 0.0, "flow weight must be positive");
-        assert!(f.demand >= 0.0, "flow demand must be non-negative");
-        for &(r, c) in &f.usage {
-            assert!(r < capacities.len(), "flow references unknown resource {r}");
-            assert!(c > 0.0, "usage coefficient must be positive");
-        }
-    }
-
+) -> bool {
     let n = flows.len();
     rates.clear();
     rates.resize(n, 0.0);
     let frozen = &mut scratch.frozen;
     frozen.clear();
     frozen.resize(n, false);
-    let remaining = &mut scratch.remaining;
-    remaining.clear();
-    remaining.extend_from_slice(capacities);
 
-    // Flows with zero demand, or through a dead resource, freeze at zero.
+    // Validate; freeze flows with zero demand, or through a dead resource,
+    // at zero; and sum each resource's live demand for the headroom exit.
+    let load = &mut scratch.active_weight;
+    load.clear();
+    load.resize(capacities.len(), 0.0);
+    let mut live = 0usize;
+    let mut exact = true;
     for (i, f) in flows.iter().enumerate() {
-        if f.demand <= 0.0 || f.usage.iter().any(|&(r, _)| capacities[r] <= 0.0) {
+        assert!(f.weight > 0.0, "flow weight must be positive");
+        assert!(f.demand >= 0.0, "flow demand must be non-negative");
+        let pairs = &usage[f.start..f.end];
+        for &(r, c) in pairs {
+            assert!(r < capacities.len(), "flow references unknown resource {r}");
+            assert!(c > 0.0, "usage coefficient must be positive");
+        }
+        if f.demand <= 0.0 || pairs.iter().any(|&(r, _)| capacities[r] <= 0.0) {
             frozen[i] = true;
+            continue;
+        }
+        live += 1;
+        let level = f.demand / f.weight;
+        exact &= f.demand < EXACT_DEMAND_LIMIT && level > 0.0 && level < f64::INFINITY;
+        for &(r, c) in pairs {
+            load[r] += f.demand * c;
         }
     }
+    // No live flow uses a dead resource, so only live resources need the
+    // headroom. A NaN capacity fails the comparison and keeps filling.
+    let headroom = exact
+        && load
+            .iter()
+            .zip(capacities)
+            .all(|(&d, &cap)| cap <= 0.0 || d <= cap - (HEADROOM * cap + HEADROOM));
+    if headroom {
+        for (i, f) in flows.iter().enumerate() {
+            if !frozen[i] {
+                rates[i] = f.demand;
+            }
+        }
+    } else {
+        progressive_fill(flows, usage, capacities, rates, live, scratch);
+    }
+
+    // Account used capacity exactly from final rates.
+    used.clear();
+    used.resize(capacities.len(), 0.0);
+    for (f, &rate) in flows.iter().zip(rates.iter()) {
+        for &(r, c) in &usage[f.start..f.end] {
+            used[r] += rate * c;
+        }
+    }
+    headroom
+}
+
+/// Progressive filling over the `live` flows not yet frozen in
+/// `scratch.frozen`, writing their rates.
+fn progressive_fill(
+    flows: &[FlatFlow],
+    usage: &[(usize, f64)],
+    capacities: &[f64],
+    rates: &mut [f64],
+    mut live: usize,
+    scratch: &mut AllocScratch,
+) {
+    let AllocScratch {
+        frozen,
+        remaining,
+        active_weight,
+    } = scratch;
+    remaining.clear();
+    remaining.extend_from_slice(capacities);
 
     // Progressive filling on the per-weight "water level" `level`: an
     // unfrozen flow i currently has rate weight_i * level.
     let mut level = 0.0f64;
-    loop {
-        if frozen.iter().all(|&f| f) {
-            break;
-        }
-
+    while live > 0 {
         // Next freeze event: either a flow reaches its demand, or a resource
         // saturates.
         let mut next_level = f64::INFINITY;
@@ -158,12 +265,11 @@ pub fn allocate_into(
 
         // Resource saturation levels: remaining[r] supports an additional
         // (level' - level) * active_coeff_weight[r].
-        let active_weight = &mut scratch.active_weight;
         active_weight.clear();
         active_weight.resize(capacities.len(), 0.0);
         for (i, f) in flows.iter().enumerate() {
             if !frozen[i] {
-                for &(r, c) in &f.usage {
+                for &(r, c) in &usage[f.start..f.end] {
                     active_weight[r] += f.weight * c;
                 }
             }
@@ -180,10 +286,7 @@ pub fn allocate_into(
         if !next_level.is_finite() {
             // No event can occur (shouldn't happen with positive demands),
             // freeze everything defensively.
-            for fz in frozen.iter_mut() {
-                *fz = true;
-            }
-            break;
+            return;
         }
 
         // Advance the water level and charge resources.
@@ -200,32 +303,43 @@ pub fn allocate_into(
             }
         }
 
-        // Freeze satisfied flows.
+        // Freeze satisfied flows at their demand, and the rest of the flows
+        // on a saturated resource at their current rate.
         const EPS: f64 = 1e-9;
+        let live_before = live;
         for (i, f) in flows.iter().enumerate() {
-            if !frozen[i] && rates[i] + EPS >= f.demand {
-                rates[i] = f.demand;
-                frozen[i] = true;
+            if frozen[i] {
+                continue;
             }
+            if rates[i] + EPS >= f.demand {
+                rates[i] = f.demand;
+            } else if !usage[f.start..f.end]
+                .iter()
+                .any(|&(r, _)| remaining[r] <= EPS && active_weight[r] > 0.0)
+            {
+                continue;
+            }
+            frozen[i] = true;
+            live -= 1;
         }
-        // Freeze flows on saturated resources.
-        for (r, rem) in remaining.iter().enumerate() {
-            if *rem <= EPS && active_weight[r] > 0.0 {
-                for (i, f) in flows.iter().enumerate() {
-                    if !frozen[i] && f.usage.iter().any(|&(fr, _)| fr == r) {
-                        frozen[i] = true;
-                    }
+
+        // A stall: the event was a resource whose remaining capacity is
+        // above the tolerance but too small to raise the level
+        // (`level + remaining / weight == level`, at capacities of
+        // millions), and nothing froze, so every later pass would repeat
+        // this one. Freeze that resource's flows at their current rate. A
+        // pass that froze a flow or moved the level never gets here.
+        if delta == 0.0 && live == live_before {
+            for (i, f) in flows.iter().enumerate() {
+                let stuck = |&(r, _): &(usize, f64)| {
+                    let aw = active_weight[r];
+                    aw > 0.0 && level + remaining[r] / aw <= level
+                };
+                if !frozen[i] && usage[f.start..f.end].iter().any(stuck) {
+                    frozen[i] = true;
+                    live -= 1;
                 }
             }
-        }
-    }
-
-    // Account used capacity exactly from final rates.
-    used.clear();
-    used.resize(capacities.len(), 0.0);
-    for (f, &rate) in flows.iter().zip(rates.iter()) {
-        for &(r, c) in &f.usage {
-            used[r] += rate * c;
         }
     }
 }
@@ -382,11 +496,39 @@ mod tests {
         let mut rates = Vec::new();
         let mut used = Vec::new();
         let mut scratch = AllocScratch::default();
+        let (mut flat, mut usage) = (Vec::new(), Vec::new());
         for (flows, caps) in &problems {
             let fresh = allocate(flows, caps);
-            allocate_into(flows, caps, &mut rates, &mut used, &mut scratch);
+            flat.clear();
+            usage.clear();
+            flatten_into(flows, &mut flat, &mut usage);
+            allocate_into(&flat, &usage, caps, &mut rates, &mut used, &mut scratch);
             assert_eq!(rates, fresh.rates);
             assert_eq!(used, fresh.used);
+        }
+    }
+
+    /// A resource whose remaining capacity can no longer raise the water
+    /// level, yet sits above the `1e-9` saturation tolerance, stalled the
+    /// filling loop forever; it now saturates that resource instead.
+    #[test]
+    fn filling_terminates_when_remaining_capacity_cannot_raise_the_level() {
+        let flows = vec![
+            Flow::simple(14769389.923565904, 4.838010453279263, 0),
+            Flow {
+                demand: 13381987.060317827,
+                weight: 9.670485575457539,
+                usage: vec![(1, 1.2289901689955012)],
+            },
+        ];
+        let caps = [6312328.890404829, 16446325.673324369, 0.0];
+        let a = allocate(&flows, &caps);
+        for (r, &cap) in caps.iter().enumerate() {
+            assert!(
+                a.used[r] <= cap * (1.0 + 1e-12),
+                "resource {r} over capacity"
+            );
+            assert!(a.used[r] >= cap * (1.0 - 1e-12), "resource {r} left idle");
         }
     }
 

@@ -25,7 +25,7 @@ use crate::counters::{DomainCounters, MemCounters, SocketCounters};
 use crate::distress::{DistressModel, DistressScope};
 use crate::latency::LatencyCurve;
 use crate::llc::{CacheClass, CacheShare, CacheTask, CatAllocation, LlcModel};
-use crate::maxmin::{self, AllocScratch, Flow};
+use crate::maxmin::{self, AllocScratch, FlatFlow};
 use crate::prefetch::{self, PrefetchEffect, PrefetchProfile, PrefetchSetting};
 use crate::topology::{DomainId, MachineSpec, SncMode, SocketId};
 use kelp_simcore::fixedpoint::{solve_fixed_point_into, FixedPointConfig, FixedPointStats};
@@ -386,7 +386,10 @@ pub(crate) struct LaneTables {
     pub(crate) member_idx: Vec<usize>,
     pub(crate) task_pre: Vec<TaskPre>,
     pub(crate) data_pre: Vec<DataPre>,
-    pub(crate) flows: Vec<Flow>,
+    pub(crate) flows: Vec<FlatFlow>,
+    /// Per lane: every flow's `(resource, coefficient)` pairs, addressed by
+    /// the flows' lane-local ranges.
+    pub(crate) usage: Vec<(usize, f64)>,
     pub(crate) flow_refs: Vec<FlowRef>,
 }
 
@@ -398,6 +401,7 @@ impl LaneTables {
         self.task_pre.clear();
         self.data_pre.clear();
         self.flows.clear();
+        self.usage.clear();
         self.flow_refs.clear();
     }
 
@@ -410,6 +414,7 @@ impl LaneTables {
             member_start: &self.member_start,
             member_idx: &self.member_idx,
             flows: &mut self.flows,
+            usage: &self.usage,
             flow_refs: &self.flow_refs,
         }
     }
@@ -440,6 +445,19 @@ pub(crate) struct EvalBufs {
     pub(crate) pre_rates: Vec<f64>,
     pub(crate) pre_used: Vec<f64>,
     pub(crate) pre_scratch: AllocScratch,
+    pub(crate) domain_duty: Vec<f64>,
+    pub(crate) sockets: Vec<SocketTerms>,
+}
+
+/// One socket's terms in the final evaluation.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SocketTerms {
+    /// Worst distress duty over the socket's domains.
+    duty: f64,
+    /// Core slowdown from inbound cross-socket traffic.
+    snoop: f64,
+    /// Core speed factor: the duty's throttle times `snoop`.
+    speed: f64,
 }
 
 /// Borrowed view of one lane's tables during evaluation: subslices of a
@@ -451,7 +469,8 @@ pub(crate) struct LaneView<'a> {
     pub(crate) data_pre: &'a [DataPre],
     pub(crate) member_start: &'a [usize],
     pub(crate) member_idx: &'a [usize],
-    pub(crate) flows: &'a mut [Flow],
+    pub(crate) flows: &'a mut [FlatFlow],
+    pub(crate) usage: &'a [(usize, f64)],
     pub(crate) flow_refs: &'a [FlowRef],
 }
 
@@ -872,10 +891,15 @@ impl MemSystem {
     /// columns the raw sub index clamped to {0, 1}; entries index into
     /// `domains` (replacing a per-lookup linear position() scan).
     pub(crate) fn build_domain_tables(&self, t: &mut DomainTables) {
-        let per = self.snc.domains_per_socket() as usize;
+        let subs = self.snc.domains_per_socket();
+        let per = usize::from(subs);
         let n_sockets = self.machine.socket_count();
         t.domains.clear();
-        t.domains.extend(self.machine.domains(self.snc));
+        for socket in 0..n_sockets {
+            for sub in 0..subs {
+                t.domains.push(DomainId::new(socket, sub));
+            }
+        }
 
         t.domain_lut.clear();
         for socket in 0..n_sockets {
@@ -940,6 +964,7 @@ impl MemSystem {
         let data_base = lane.data_pre.len();
         let member_base = lane.member_start.len();
         let idx_base = lane.member_idx.len();
+        let usage_base = lane.usage.len();
 
         // Per-task invariants, flattened data placements, initial rates.
         for t in tasks {
@@ -1001,25 +1026,27 @@ impl MemSystem {
             let p = lane.task_pre[task_base + i];
             for k in p.data_start..p.data_end {
                 let e = lane.data_pre[data_base + k];
-                let mut usage = vec![(
+                let start = lane.usage.len() - usage_base;
+                lane.usage.push((
                     e.di,
                     if e.crosses {
                         1.0 + self.machine.remote_snoop_overhead
                     } else {
                         1.0
                     },
-                )];
+                ));
                 if e.crosses {
-                    usage.push((
+                    lane.usage.push((
                         n_domains
                             + upi_pair(p.home_socket, shared.domains[e.di].socket.0, n_sockets),
                         1.0,
                     ));
                 }
-                lane.flows.push(Flow {
+                lane.flows.push(FlatFlow {
                     demand: 0.0,
                     weight: t.weight.max(1e-6) * e.frac.max(1e-6),
-                    usage,
+                    start,
+                    end: lane.usage.len() - usage_base,
                 });
                 lane.flow_refs.push(FlowRef {
                     task: Some(i),
@@ -1037,21 +1064,24 @@ impl MemSystem {
             // different from its target's socket.
             let cross_src = f.source_socket.filter(|&src| src != dd.socket);
             let crosses = cross_src.is_some();
-            let mut usage = vec![(
+            let start = lane.usage.len() - usage_base;
+            lane.usage.push((
                 di,
                 if crosses {
                     1.0 + self.machine.remote_snoop_overhead
                 } else {
                     1.0
                 },
-            )];
+            ));
             if let Some(src) = cross_src {
-                usage.push((n_domains + upi_pair(src.0, dd.socket.0, n_sockets), 1.0));
+                lane.usage
+                    .push((n_domains + upi_pair(src.0, dd.socket.0, n_sockets), 1.0));
             }
-            lane.flows.push(Flow {
+            lane.flows.push(FlatFlow {
                 demand: f.gbps.max(0.0),
                 weight: f.weight.max(1e-6),
-                usage,
+                start,
+                end: lane.usage.len() - usage_base,
             });
             lane.flow_refs.push(FlowRef {
                 task: None,
@@ -1152,6 +1182,7 @@ impl MemSystem {
         if let Some(ap) = self.adaptive_prefetch {
             maxmin::allocate_into(
                 lane.flows,
+                lane.usage,
                 &shared.capacities,
                 &mut bufs.pre_rates,
                 &mut bufs.pre_used,
@@ -1171,6 +1202,7 @@ impl MemSystem {
 
         maxmin::allocate_into(
             lane.flows,
+            lane.usage,
             &shared.capacities,
             &mut bufs.alloc_rates,
             &mut bufs.alloc_used,
@@ -1281,27 +1313,32 @@ impl MemSystem {
         let n_domains = shared.domains.len();
         let n_sockets = self.machine.socket_count();
 
-        // Distress duty & core speed per socket.
-        let mut socket_duty = vec![0.0f64; n_sockets];
-        for (di, &d) in shared.domains.iter().enumerate() {
-            let duty = self.distress.duty_cycle(bufs.domain_util[di]);
-            if duty > socket_duty[d.socket.0] {
-                socket_duty[d.socket.0] = duty;
+        // Distress duty per domain, and duty & core speed per socket.
+        {
+            let EvalBufs {
+                domain_util,
+                inbound_upi,
+                domain_duty,
+                sockets,
+                ..
+            } = &mut *bufs;
+            domain_duty.clear();
+            domain_duty.extend(domain_util.iter().map(|&u| self.distress.duty_cycle(u)));
+            sockets.clear();
+            sockets.resize(n_sockets, SocketTerms::default());
+            for (&d, &duty) in shared.domains.iter().zip(domain_duty.iter()) {
+                if duty > sockets[d.socket.0].duty {
+                    sockets[d.socket.0].duty = duty;
+                }
+            }
+            for (socket, &inb) in sockets.iter_mut().zip(inbound_upi.iter()) {
+                // Coherence/snoop stalls from inbound cross-socket traffic.
+                socket.snoop =
+                    1.0 / (1.0 + self.machine.remote_inbound_core_penalty_per_gbps * inb.max(0.0));
+                socket.speed = self.distress.core_speed_factor(socket.duty) * socket.snoop;
             }
         }
-        // Coherence/snoop stalls from inbound cross-socket traffic.
-        let socket_snoop: Vec<f64> = bufs
-            .inbound_upi
-            .iter()
-            .map(|&inb| {
-                1.0 / (1.0 + self.machine.remote_inbound_core_penalty_per_gbps * inb.max(0.0))
-            })
-            .collect();
-        let socket_speed: Vec<f64> = socket_duty
-            .iter()
-            .enumerate()
-            .map(|(sck, &duty)| self.distress.core_speed_factor(duty) * socket_snoop[sck])
-            .collect();
+        let sockets = &bufs.sockets;
 
         let mut fixed_flow_gbps = vec![0.0f64; input.fixed_flows.len()];
         for (fr, &rate) in lane.flow_refs.iter().zip(&bufs.alloc_rates) {
@@ -1320,13 +1357,11 @@ impl MemSystem {
                 let duty = match self.distress_scope {
                     // Real hardware: the worst controller on the socket
                     // throttles everyone.
-                    DistressScope::GlobalSocket => socket_duty[p.home_socket],
+                    DistressScope::GlobalSocket => sockets[p.home_socket].duty,
                     // §VI-C proposal: only the saturating domain's cores pay.
-                    DistressScope::PerDomain => {
-                        self.distress.duty_cycle(bufs.domain_util[p.home_index])
-                    }
+                    DistressScope::PerDomain => bufs.domain_duty[p.home_index],
                 };
-                self.distress.core_speed_factor(duty) * socket_snoop[p.home_socket]
+                self.distress.core_speed_factor(duty) * sockets[p.home_socket].snoop
             };
             let miss_per_unit = t.accesses_per_unit * (1.0 - bufs.task_hit[i]);
             let stall_misses = miss_per_unit * (1.0 - pf.coverage);
@@ -1363,11 +1398,11 @@ impl MemSystem {
                 bw_gbps: bufs.alloc_used[di].min(shared.capacities[di]),
                 utilization: bufs.domain_util[di],
                 latency_ns: bufs.domain_latency[di],
-                distress_duty: self.distress.duty_cycle(bufs.domain_util[di]),
+                distress_duty: bufs.domain_duty[di],
             });
         }
         let mut socket_counters = Vec::with_capacity(n_sockets);
-        for sck in 0..n_sockets {
+        for (sck, terms) in sockets.iter().enumerate() {
             let (mut bw, mut lat_weighted) = (0.0, 0.0);
             for (di, &d) in shared.domains.iter().enumerate() {
                 if d.socket.0 == sck {
@@ -1385,8 +1420,8 @@ impl MemSystem {
                 socket: SocketId(sck),
                 bw_gbps: bw,
                 avg_latency_ns: avg_latency,
-                distress_duty: socket_duty[sck],
-                core_speed_factor: socket_speed[sck],
+                distress_duty: terms.duty,
+                core_speed_factor: terms.speed,
             });
         }
         let upi_bw: f64 = bufs.alloc_used[n_domains..].iter().sum();

@@ -195,10 +195,22 @@ impl FaultPlan {
 
     /// Binds the plan to a run seed, yielding the pure query interface.
     pub fn injector(&self, seed: u64) -> FaultInjector {
-        FaultInjector {
+        let mut injector = FaultInjector {
             plan: self.clone(),
             seed,
-        }
+            crashes: Vec::new(),
+        };
+        injector.crashes = self
+            .events
+            .iter()
+            .filter(|e| e.kind == FaultKind::MachineCrash)
+            .map(|e| CrashWindow {
+                start: e.start.as_nanos(),
+                duration: e.duration.as_nanos(),
+                delay: injector.restart_delay(e).as_nanos(),
+            })
+            .collect();
+        injector
     }
 }
 
@@ -235,6 +247,17 @@ pub enum MachinePhase {
 pub struct FaultInjector {
     plan: FaultPlan,
     seed: u64,
+    /// The plan's [`FaultKind::MachineCrash`] windows in plan order, each
+    /// with its restart delay drawn once, when the injector is built.
+    crashes: Vec<CrashWindow>,
+}
+
+/// A crash window in nanoseconds, with its seeded restart delay.
+#[derive(Debug, Clone, Copy)]
+struct CrashWindow {
+    start: u64,
+    duration: u64,
+    delay: u64,
 }
 
 impl FaultInjector {
@@ -323,19 +346,17 @@ impl FaultInjector {
     /// shadows another window's recovery). Otherwise the machine is
     /// [`MachinePhase::Up`].
     pub fn machine_phase(&self, t: SimTime) -> MachinePhase {
-        let crashes = || {
-            self.plan
-                .events
-                .iter()
-                .filter(|e| e.kind == FaultKind::MachineCrash)
-        };
-        if crashes().any(|e| e.active_at(t)) {
+        let t = t.as_nanos();
+        if self
+            .crashes
+            .iter()
+            .any(|c| t >= c.start && t - c.start < c.duration)
+        {
             return MachinePhase::Down;
         }
-        let rebooting = crashes().any(|e| {
-            let end = e.start.as_nanos() + e.duration.as_nanos();
-            let delay = self.restart_delay(e).as_nanos();
-            t.as_nanos() >= end && t.as_nanos() - end < delay
+        let rebooting = self.crashes.iter().any(|c| {
+            let end = c.start + c.duration;
+            t >= end && t - end < c.delay
         });
         if rebooting {
             MachinePhase::Recovering

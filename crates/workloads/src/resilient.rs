@@ -433,17 +433,20 @@ impl ResilientFleet {
     fn begin_tick(&mut self) {
         let t = SimTime::from_millis(self.tick);
         for i in 0..self.machines.len() {
+            // Each machine-level fault is queried once per tick.
+            let injector = &self.injectors[i];
+            let phase = injector.machine_phase(t);
+            let derate = injector.brownout_derate(t);
+            let stress = injector.solver_stress(t);
+
             // Fault-window onset accounting (any machine-level window).
-            let active = self.injectors[i].machine_phase(t) != MachinePhase::Up
-                || self.injectors[i].brownout_derate(t) < 1.0
-                || self.injectors[i].solver_stress(t).is_some();
+            let active = phase != MachinePhase::Up || derate < 1.0 || stress.is_some();
             if active && !self.fault_active[i] {
                 self.fault_onsets += 1;
             }
             self.fault_active[i] = active;
 
             // Lifecycle transitions from the crash plan.
-            let phase = self.injectors[i].machine_phase(t);
             let lifecycle = self.machines[i].lifecycle();
             match phase {
                 MachinePhase::Down => {
@@ -468,8 +471,8 @@ impl ResilientFleet {
 
             // Brownout and solver stress apply continuously (the setters
             // are value-aware, so a steady fault keeps the machine clean).
-            self.machines[i].set_brownout(self.injectors[i].brownout_derate(t));
-            self.machines[i].set_solver_stress(self.injectors[i].solver_stress(t));
+            self.machines[i].set_brownout(derate);
+            self.machines[i].set_solver_stress(stress);
         }
 
         if self.config.self_healing {

@@ -42,12 +42,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== solver identity tests =="
 # The hot-path determinism contract: scratch reuse and memoization must be
-# bit-identical to fresh solves (tests/solver_hot.rs), and the report a
-# machine lends out must equal the copies the in-place and batched paths
-# make of it (tests/report_owner.rs). Runs optimized, as the benchmark
-# times it, even though the workspace test run above covers both, so a
-# partial invocation of this script section still gates the contract.
-cargo test -q --release --test solver_hot --test report_owner
+# bit-identical to fresh solves, and cold host steps must reproduce their
+# pinned report digests (tests/solver_hot.rs); the max-min headroom exit
+# must match progressive filling bit for bit (tests/proptests.rs); and the
+# report a machine lends out must equal the copies the in-place and
+# batched paths make of it (tests/report_owner.rs). Runs optimized, as the
+# benchmark times it, even though the workspace test run above covers
+# them, so a partial invocation of this script section still gates the
+# contract.
+cargo test -q --release --test solver_hot --test proptests --test report_owner
 
 echo "== regenerate results/ and diff =="
 # Every file under results/ is a pure function of the code. Regenerate all

@@ -14,7 +14,7 @@ use kelp_host::{
 };
 use kelp_mem::latency::LatencyCurve;
 use kelp_mem::llc::{hit_ratio, CacheClass, CacheTask, CatAllocation, LlcModel};
-use kelp_mem::maxmin::{allocate, Flow};
+use kelp_mem::maxmin::{allocate, allocate_into, flatten_into, AllocScratch, Flow};
 use kelp_mem::prefetch::PrefetchSetting;
 use kelp_mem::solver::{FixedFlow, MemSystem, SolverInput, SolverTask, SolverTuning, TaskKey};
 use kelp_mem::topology::{DomainId, MachineSpec, SncMode, SocketId};
@@ -24,9 +24,14 @@ use kelp_simcore::stats::{OnlineStats, P2Quantile, SampleSet};
 const CASES: usize = 64;
 
 /// Runs `body` for `CASES` deterministic cases, each with its own RNG stream.
-fn for_cases(seed: u64, mut body: impl FnMut(&mut SimRng)) {
+fn for_cases(seed: u64, body: impl FnMut(&mut SimRng)) {
+    for_n_cases(seed, CASES, body);
+}
+
+/// [`for_cases`] with an explicit case count.
+fn for_n_cases(seed: u64, cases: usize, mut body: impl FnMut(&mut SimRng)) {
     let mut root = SimRng::seed_from(seed);
-    for case in 0..CASES {
+    for case in 0..cases {
         let mut rng = root.fork(case as u64);
         body(&mut rng);
     }
@@ -89,6 +94,228 @@ fn maxmin_own_rate_monotone_in_demand() {
             "own rate shrank: {after} < {before}"
         );
     });
+}
+
+/// Weighted max-min by progressive filling exactly as it ran before the
+/// headroom exit: the reference that `allocate` must match bit for bit.
+/// `None` where it stalls: a pass that neither moves the level nor freezes
+/// a flow repeats forever, and `allocate` then breaks the stall instead.
+fn reference_allocate(flows: &[Flow], capacities: &[f64]) -> Option<(Vec<f64>, Vec<f64>)> {
+    const EPS: f64 = 1e-9;
+    let n = flows.len();
+    let mut rates = vec![0.0; n];
+    let mut frozen = vec![false; n];
+    let mut remaining = capacities.to_vec();
+    for (i, f) in flows.iter().enumerate() {
+        if f.demand <= 0.0 || f.usage.iter().any(|&(r, _)| capacities[r] <= 0.0) {
+            frozen[i] = true;
+        }
+    }
+    let mut level = 0.0f64;
+    for pass in 0.. {
+        if frozen.iter().all(|&f| f) {
+            break;
+        }
+        if pass == 1000 {
+            return None;
+        }
+        let mut next_level = f64::INFINITY;
+        for (i, f) in flows.iter().enumerate() {
+            if !frozen[i] {
+                let lvl = f.demand / f.weight;
+                if lvl > level && lvl < next_level {
+                    next_level = lvl;
+                }
+            }
+        }
+        let mut active_weight = vec![0.0; capacities.len()];
+        for (i, f) in flows.iter().enumerate() {
+            if !frozen[i] {
+                for &(r, c) in &f.usage {
+                    active_weight[r] += f.weight * c;
+                }
+            }
+        }
+        for (r, &aw) in active_weight.iter().enumerate() {
+            if aw > 0.0 {
+                let lvl = level + remaining[r] / aw;
+                if lvl < next_level {
+                    next_level = lvl;
+                }
+            }
+        }
+        if !next_level.is_finite() {
+            break;
+        }
+        let delta = next_level - level;
+        level = next_level;
+        for (r, &aw) in active_weight.iter().enumerate() {
+            if aw > 0.0 {
+                remaining[r] = (remaining[r] - delta * aw).max(0.0);
+            }
+        }
+        for (i, f) in flows.iter().enumerate() {
+            if !frozen[i] {
+                rates[i] = f.weight * level;
+            }
+        }
+        for (i, f) in flows.iter().enumerate() {
+            if !frozen[i] && rates[i] + EPS >= f.demand {
+                rates[i] = f.demand;
+                frozen[i] = true;
+            }
+        }
+        for (r, rem) in remaining.iter().enumerate() {
+            if *rem <= EPS && active_weight[r] > 0.0 {
+                for (i, f) in flows.iter().enumerate() {
+                    if !frozen[i] && f.usage.iter().any(|&(fr, _)| fr == r) {
+                        frozen[i] = true;
+                    }
+                }
+            }
+        }
+    }
+    let mut used = vec![0.0; capacities.len()];
+    for (f, &rate) in flows.iter().zip(&rates) {
+        for &(r, c) in &f.usage {
+            used[r] += rate * c;
+        }
+    }
+    Some((rates, used))
+}
+
+/// A max-min problem for the headroom-exit property: 0–4 flows on 1–4
+/// resources, with zero-capacity resources, zero demands, two-resource
+/// flows and coefficients other than 1. Half of the problems are scaled up
+/// to capacities of millions, where one rounding step of a resource's
+/// remaining capacity outgrows the filler's `1e-9` tolerance. Half are
+/// rescaled so that the most loaded resource's total demand lands within
+/// ±2 ppm of its capacity, half of those on it exactly.
+fn arb_headroom_problem(rng: &mut SimRng) -> (Vec<Flow>, Vec<f64>) {
+    let scale = if rng.below(2) == 0 {
+        rng.uniform(5e4, 1.2e5)
+    } else {
+        1.0
+    };
+    let n_res = 1 + rng.below(4) as usize;
+    let caps: Vec<f64> = (0..n_res)
+        .map(|_| {
+            if rng.below(6) == 0 {
+                0.0
+            } else {
+                rng.uniform(1.0, 150.0) * scale
+            }
+        })
+        .collect();
+    let mut flows: Vec<Flow> = (0..rng.below(5))
+        .map(|_| {
+            let demand = if rng.below(6) == 0 {
+                0.0
+            } else {
+                rng.uniform(0.0, 100.0) * scale
+            };
+            let coeff = |rng: &mut SimRng| {
+                if rng.below(2) == 0 {
+                    1.0
+                } else {
+                    rng.uniform(0.5, 2.0)
+                }
+            };
+            let first = rng.below(n_res as u64) as usize;
+            let mut usage = vec![(first, coeff(rng))];
+            if n_res > 1 && rng.below(2) == 0 {
+                let second = (first + 1 + rng.below(n_res as u64 - 1) as usize) % n_res;
+                usage.push((second, coeff(rng)));
+            }
+            Flow {
+                demand,
+                weight: rng.uniform(0.1, 10.0),
+                usage,
+            }
+        })
+        .collect();
+    if rng.below(2) == 0 {
+        // Total demand per resource over the flows that can run.
+        let mut load = vec![0.0; n_res];
+        for f in &flows {
+            if f.demand > 0.0 && f.usage.iter().all(|&(r, _)| caps[r] > 0.0) {
+                for &(r, c) in &f.usage {
+                    load[r] += f.demand * c;
+                }
+            }
+        }
+        let target = (0..n_res).fold(0, |best, r| if load[r] > load[best] { r } else { best });
+        if load[target] > 0.0 {
+            let ppm = match rng.below(2) {
+                0 => 0.0,
+                _ => rng.uniform(-2e-6, 2e-6),
+            };
+            let factor = caps[target] * (1.0 + ppm) / load[target];
+            for f in &mut flows {
+                f.demand *= factor;
+            }
+        }
+    }
+    (flows, caps)
+}
+
+/// Max-min: the headroom exit is exact. `allocate` and `allocate_into`
+/// match the progressive filling they replace bit for bit, rates and usage
+/// both, on problems crowded around the exit's margin; and the exit answers
+/// at least a quarter of them, so the comparison covers it. Problems on
+/// which the old filling stalls have no reference answer and are skipped.
+#[test]
+fn maxmin_headroom_exit_matches_progressive_filling() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let (mut flat, mut usage) = (Vec::new(), Vec::new());
+    let (mut rates, mut used) = (Vec::new(), Vec::new());
+    let mut scratch = AllocScratch::default();
+    let (mut cases, mut exits) = (0usize, 0usize);
+    let mut check = |flows: &[Flow], caps: &[f64]| {
+        let Some((want_rates, want_used)) = reference_allocate(flows, caps) else {
+            return;
+        };
+        let got = allocate(flows, caps);
+        assert_eq!(
+            bits(&got.rates),
+            bits(&want_rates),
+            "rates of {flows:?} on {caps:?}"
+        );
+        assert_eq!(
+            bits(&got.used),
+            bits(&want_used),
+            "usage of {flows:?} on {caps:?}"
+        );
+        flat.clear();
+        usage.clear();
+        flatten_into(flows, &mut flat, &mut usage);
+        let exit = allocate_into(&flat, &usage, caps, &mut rates, &mut used, &mut scratch);
+        assert_eq!(
+            bits(&rates),
+            bits(&want_rates),
+            "reused scratch on {flows:?}"
+        );
+        assert_eq!(bits(&used), bits(&want_used), "reused scratch on {flows:?}");
+        cases += 1;
+        exits += usize::from(exit);
+    };
+    // A demand above 2^22 whose level rounds down: `weight * (demand /
+    // weight)` falls 6e-8 short, past the `1e-9` tolerance, so filling
+    // charges the flow beyond its demand and saturates the resource under
+    // the second flow, despite the headroom. The exit must not answer it.
+    let demand = 357_860_231.810_265_84;
+    check(
+        &[Flow::simple(demand, 1234.5, 0), Flow::simple(1.0, 1e-7, 0)],
+        &[demand + 1001.0],
+    );
+    for_n_cases(0x4EAD_2003, 65_536, |rng| {
+        let (flows, caps) = arb_headroom_problem(rng);
+        check(&flows, &caps);
+    });
+    assert!(
+        exits * 4 >= cases,
+        "the exit answered {exits} of {cases} cases"
+    );
 }
 
 /// Loaded latency is monotone in utilization and bounded.

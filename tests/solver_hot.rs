@@ -7,12 +7,19 @@
 //! allocating API to the last bit. Same deterministic [`SimRng`] case
 //! generation as `tests/proptests.rs`.
 
-use kelp_host::{Actuator, CpuAllocation, HostMachine, Priority, TaskSpec, ThreadProfile};
+use kelp::runner::fnv1a64;
+use kelp_host::machine::FlowId;
+use kelp_host::{
+    Actuator, CpuAllocation, HostBatch, HostMachine, HostTaskId, MemPolicy, Priority, TaskSpec,
+    ThreadProfile,
+};
+use kelp_mem::distress::DistressScope;
+use kelp_mem::llc::CatAllocation;
 use kelp_mem::prefetch::{PrefetchProfile, PrefetchSetting};
 use kelp_mem::solver::{
     FixedFlow, MemSystem, SolverInput, SolverScratch, SolverTask, SolverTuning, TaskKey,
 };
-use kelp_mem::topology::{DomainId, MachineSpec, SncMode, SocketId};
+use kelp_mem::topology::{DomainId, MachineSpec, SncMode, SocketId, SocketSpec};
 use kelp_simcore::fixedpoint::{solve_fixed_point, solve_fixed_point_into, FixedPointConfig};
 use kelp_simcore::rng::SimRng;
 
@@ -248,4 +255,188 @@ fn fixed_point_into_matches_allocating_api_on_random_maps() {
         assert_eq!(stats.residual.to_bits(), alloc_out.residual.to_bits());
         assert!(stats.converged, "a contraction must converge in 100 iters");
     });
+}
+
+/// A machine of `sockets` sockets whose cores, SMT ways and channels vary
+/// per socket, so SMT fitting sees uneven domains and narrow sockets
+/// saturate.
+fn arb_machine(rng: &mut SimRng, sockets: usize) -> MachineSpec {
+    let mut spec = MachineSpec::dual_socket();
+    spec.sockets = (0..sockets)
+        .map(|_| SocketSpec {
+            cores: 4 + 4 * rng.below(5) as usize,
+            smt_ways: 1 + rng.below(2) as usize,
+            channels: 1 + rng.below(6) as usize,
+            ..SocketSpec::default()
+        })
+        .collect();
+    spec.upi_gbps = rng.uniform(5.0, 45.0);
+    spec
+}
+
+/// Any domain of an `sockets`-socket machine; the sub index may name a
+/// subdomain the SNC mode lacks, which lowering canonicalizes.
+fn arb_host_domain(rng: &mut SimRng, sockets: usize) -> DomainId {
+    DomainId::new(rng.below(sockets as u64) as usize, rng.below(2) as u8)
+}
+
+fn arb_allocation(rng: &mut SimRng, sockets: usize) -> CpuAllocation {
+    let domain = arb_host_domain(rng, sockets);
+    let cores = rng.below(9) as usize;
+    let policy = if rng.below(2) == 0 {
+        MemPolicy::Local
+    } else {
+        // Split placement over 1–3 domains, possibly across sockets, with
+        // fractions summing to 1.
+        let n = 1 + rng.below(3) as usize;
+        let raw: Vec<(DomainId, f64)> = (0..n)
+            .map(|_| (arb_host_domain(rng, sockets), rng.uniform(0.0, 1.0)))
+            .collect();
+        let sum: f64 = raw.iter().map(|&(_, f)| f).sum();
+        if sum <= 0.0 {
+            MemPolicy::Local
+        } else {
+            MemPolicy::Split(raw.into_iter().map(|(d, f)| (d, f / sum)).collect())
+        }
+    };
+    CpuAllocation {
+        domain,
+        cores,
+        policy,
+    }
+}
+
+fn arb_profile(rng: &mut SimRng) -> ThreadProfile {
+    let mut p = match rng.below(3) {
+        0 => ThreadProfile::streaming(rng.uniform(1e6, 4e9)),
+        1 => ThreadProfile::compute_bound(rng.uniform(10.0, 400.0)),
+        _ => ThreadProfile::llc_resident(rng.uniform(1e6, 64e6)),
+    };
+    p.accesses_per_unit *= rng.uniform(0.25, 2.0);
+    p.mlp = rng.uniform(1.0, 8.0);
+    p
+}
+
+/// A host on a machine the goldens never build, stepped cold (memo and warm
+/// starts off) through random phases and actuations. Each step also runs on
+/// a copy through the batched path, which must agree. Returns the `Debug`
+/// rendering of every step's report and the final solve stats.
+fn cold_host_trace(rng: &mut SimRng, sockets: usize) -> String {
+    let snc = match rng.below(3) {
+        0 => SncMode::Disabled,
+        1 => SncMode::Enabled,
+        _ => SncMode::ChannelPartition,
+    };
+    let mut m = HostMachine::new(arb_machine(rng, sockets), snc);
+    m.set_solver_tuning(SolverTuning::baseline());
+    if rng.below(3) == 0 {
+        m.mem_mut().set_adaptive_prefetch(Some(Default::default()));
+    }
+    if rng.below(3) == 0 {
+        m.mem_mut().set_distress_scope(DistressScope::PerDomain);
+    }
+    if rng.below(2) == 0 {
+        m.set_cat(CatAllocation::with_dedicated(11, 1 + rng.below(10) as u32));
+    }
+    let n_tasks = 1 + rng.below(3) as usize;
+    let tasks: Vec<HostTaskId> = (0..n_tasks)
+        .map(|i| {
+            let priority = if rng.below(2) == 0 {
+                Priority::High
+            } else {
+                Priority::Low
+            };
+            let mut spec = TaskSpec::new(
+                format!("t{i}"),
+                priority,
+                arb_profile(rng),
+                1 + rng.below(48) as usize,
+            );
+            spec.mem_weight = rng.uniform(0.5, 4.0);
+            let allocations = (0..1 + rng.below(3))
+                .map(|_| arb_allocation(rng, sockets))
+                .collect();
+            m.add_task(spec, allocations)
+        })
+        .collect();
+    let flows: Vec<FlowId> = (0..rng.below(3))
+        .map(|_| {
+            m.add_flow(FixedFlow {
+                target: arb_host_domain(rng, sockets),
+                source_socket: if rng.below(2) == 0 {
+                    Some(SocketId(rng.below(sockets as u64) as usize))
+                } else {
+                    None
+                },
+                gbps: rng.uniform(0.0, 60.0),
+                weight: rng.uniform(0.5, 2.0),
+            })
+        })
+        .collect();
+
+    let mut trace = String::new();
+    let mut batch = HostBatch::new();
+    for _ in 0..5 {
+        for &id in &tasks {
+            match rng.below(6) {
+                0 => m.set_intensity(id, 0.0),
+                1 => m.set_intensity(id, rng.uniform(0.0, 1.0)),
+                2 => m.set_prefetchers(id, PrefetchSetting::fraction(rng.uniform(0.0, 1.0))),
+                3 => m.set_bw_cap(id, Some(rng.uniform(0.5, 20.0))),
+                4 => m.set_allocations(
+                    id,
+                    (0..1 + rng.below(3))
+                        .map(|_| arb_allocation(rng, sockets))
+                        .collect(),
+                ),
+                _ => {}
+            }
+        }
+        for &f in &flows {
+            if rng.below(2) == 0 {
+                m.set_flow_gbps(f, rng.uniform(0.0, 30.0));
+            }
+        }
+        if rng.below(8) == 0 {
+            m.remove_task(tasks[rng.below(n_tasks as u64) as usize]);
+        }
+        let twin = [m.clone()];
+        let batched = batch.step(&twin);
+        let report = m.solve();
+        assert_eq!(
+            batched[0], report,
+            "batched step diverged from the scalar step"
+        );
+        assert_eq!(twin[0].solve_stats(), m.solve_stats());
+        trace.push_str(&format!("{report:?}\n"));
+    }
+    trace.push_str(&format!("{:?}\n", m.solve_stats()));
+    trace
+}
+
+/// (d) Cold host steps on 1-, 3-, 4- and 9-socket machines reproduce the
+/// reports and solve stats pinned here bit for bit. The machines carry
+/// split placements across sockets, several allocations per task, MBA caps,
+/// prefetcher fractions, CAT, adaptive prefetch and per-domain distress,
+/// none of which the goldens combine on these socket counts. The digests
+/// change only when a solve's arithmetic does.
+#[test]
+fn cold_reports_match_pinned_digests() {
+    let pins: [(usize, u64); 4] = [
+        (1, 0x94dd_16a8_711c_3740),
+        (3, 0xd43e_3fef_bc41_b033),
+        (4, 0x34ee_6343_2f8f_d194),
+        (9, 0x8ad0_a8ec_1019_acb8),
+    ];
+    for (sockets, want) in pins {
+        let mut trace = String::new();
+        for_cases(0xC01D_0000 + sockets as u64, |rng| {
+            trace.push_str(&cold_host_trace(rng, sockets));
+        });
+        let got = fnv1a64(trace.as_bytes());
+        assert_eq!(
+            got, want,
+            "{sockets}-socket cold reports moved: {got:#018x}"
+        );
+    }
 }
