@@ -2,12 +2,13 @@
 //!
 //! See `kelp-sim help` for usage.
 
-use kelp::driver::{Experiment, ExperimentConfig};
+use kelp::driver::ExperimentConfig;
 use kelp::profile::ProfileLibrary;
 use kelp::report::Table;
+use kelp::runner::{CpuSpec, MlSpec, RunSpec};
 use kelp_bench::cli::{self, Command, RunArgs};
 use kelp_mem::topology::{MachineSpec, SncMode, SocketId};
-use kelp_workloads::{BatchWorkload, MlWorkloadKind};
+use kelp_workloads::MlWorkloadKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,19 +72,20 @@ fn execute(run: RunArgs, counters_only: bool) {
     } else {
         ExperimentConfig::default()
     };
-    let mut builder = match run.ml {
-        Some(ml) => Experiment::builder(ml, run.policy),
-        None => Experiment::builder_cpu_only(run.policy),
-    };
+    let mut spec = RunSpec::cpu_only(run.policy, &config)
+        .with_ml(run.ml.map_or(MlSpec::None, MlSpec::Standard));
     for (i, &(kind, threads)) in run.cpu.iter().enumerate() {
-        builder = builder.add_cpu_workload(
-            BatchWorkload::new(kind, threads).with_label(format!("{}#{i}", kind.name())),
-        );
+        spec =
+            spec.with_cpu(CpuSpec::new(kind, threads).with_label(format!("{}#{i}", kind.name())));
     }
-    let result = builder.config(config).run();
+    let record = spec.execute();
+    if let Some(error) = &record.error {
+        eprintln!("error: {error}");
+        std::process::exit(1);
+    }
 
     if counters_only {
-        let m = result.avg_measurements;
+        let m = record.avg_measurements;
         let mut t = Table::new(
             "Kelp runtime measurements (window average)",
             &["metric", "value"],
@@ -109,21 +111,21 @@ fn execute(run: RunArgs, counters_only: bool) {
     }
 
     let mut t = Table::new(
-        format!("Run outcome under {}", result.policy.label()),
+        format!("Run outcome under {}", run.policy.label()),
         &["workload", "throughput", "p95 (ms)"],
     );
-    if let Some(name) = &result.ml_name {
+    if let Some(name) = &record.ml_name {
         t.row(vec![
             name.clone(),
-            format!("{:.2}", result.ml_performance.throughput),
-            result
+            format!("{:.2}", record.ml_performance.throughput),
+            record
                 .ml_performance
                 .tail_latency_ms
                 .map(|v| format!("{v:.2}"))
                 .unwrap_or_else(|| "-".into()),
         ]);
     }
-    for (name, perf) in &result.cpu_performance {
+    for (name, perf) in &record.cpu_performance {
         t.row(vec![
             name.clone(),
             format!("{:.3e}", perf.throughput),
@@ -131,7 +133,7 @@ fn execute(run: RunArgs, counters_only: bool) {
         ]);
     }
     t.print();
-    let snap = result.final_policy_snapshot();
+    let snap = record.final_policy;
     println!(
         "final actuators: {} LP cores, {} prefetchers, {} backfilled cores",
         snap.lp_cores, snap.lp_prefetchers, snap.hp_backfill_cores

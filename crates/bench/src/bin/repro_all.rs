@@ -1,6 +1,7 @@
-//! Reproduces every table and figure in one run and writes every
-//! `results/` file computed from experiment runs; the three `bench_*`
-//! files come from their own macro-benchmarks.
+//! Reproduces every table and figure in one run, with the ablations and
+//! the extension studies, and writes every `results/` file computed from
+//! experiment runs; the three `bench_*` files come from their own
+//! macro-benchmarks.
 //!
 //! Every harness enumerates its grid as [`kelp::runner::RunSpec`]s and runs
 //! them through one [`kelp::runner::Runner`], so `--jobs N` parallelizes
@@ -13,7 +14,9 @@
 //! `--strict`, 3 when the hardened controller (KP-H) leaves its fault
 //! acceptance bands. Both checks run after every file is written.
 
+use kelp::experiments::ablation::{self, Ablations};
 use kelp::experiments::cluster::{self, ClusterConfig};
+use kelp::experiments::extensions::Study;
 use kelp::experiments::faults::{self, MAX_REVERSALS_PER_10, ML_SLOWDOWN_BAND};
 use kelp::experiments::{
     backpressure, fleet, knee, mix, overall, remote, scorecard, sensitivity, table1, timeline,
@@ -33,7 +36,7 @@ fn main() {
     table1::table1().print();
 
     println!("=== Figure 2 ===");
-    let fig2 = fleet::figure2(2019);
+    let fig2 = fleet::figure2(fleet::FIGURE2_SEED);
     fig2.table().print();
     println!(
         "fraction above 70% peak: {:.3} (paper ~0.16)\n",
@@ -234,6 +237,36 @@ fn main() {
     }
     println!();
     kelp_bench::save_json(&dir, "ext_tail_amplification", &tail);
+
+    println!("=== Ablations ===");
+    let ablations = Ablations {
+        sampling: ablation::sampling_sweep_with(&runner, &config),
+        backfill: ablation::backfill_ablation_with(&runner, &config),
+        watermarks: ablation::saturation_watermark_sweep_with(&runner, &config),
+    };
+    ablation::backfill_table(&ablations.backfill).print();
+    ablation::sampling_table(&ablations.sampling).print();
+    println!(
+        "spread of ML outcome across periods: {:.1}% (paper: insensitive)",
+        ablation::sampling_spread(&ablations.sampling) * 100.0
+    );
+    ablation::watermark_table(&ablations.watermarks).print();
+    kelp_bench::save_json(&dir, "ablations", &ablations);
+
+    println!("=== Hardware proposals (SVI-B, SVI-C, SVI-D) ===");
+    let proposals: Vec<_> = Study::HW_PROPOSALS
+        .iter()
+        .map(|study| study.run_with(&runner, &config))
+        .collect();
+    for study in &proposals {
+        study.table().print();
+    }
+    kelp_bench::save_json(&dir, "ext_hw_proposals", &proposals);
+
+    println!("=== Channel partitioning vs SNC (SIV-A) ===");
+    let partition = Study::ChannelPartition.run_with(&runner, &config);
+    partition.table().print();
+    kelp_bench::save_json(&dir, "ext_channel_partition", &partition);
 
     println!("=== Scorecard ===");
     let card = scorecard::run_scorecard_with(&runner, &config);

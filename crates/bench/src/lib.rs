@@ -10,8 +10,8 @@
 //! ```
 //!
 //! The `ext_solver_hot`, `ext_fleet_batch` and `ext_fleet_faults`
-//! macro-benchmarks write the three `results/bench_*.json` files; the
-//! `ablation_*` and the other `ext_*` binaries only print.
+//! macro-benchmarks write the three `results/bench_*.json` files, and
+//! `kelp_sim` runs one experiment from the command line.
 
 #![warn(missing_docs)]
 

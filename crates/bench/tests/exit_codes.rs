@@ -81,13 +81,6 @@ fn malformed_flag_values_exit_2() {
     // run at full scale. `kelp_sim` has a parser of its own.
     for bin in [
         env!("CARGO_BIN_EXE_repro_all"),
-        env!("CARGO_BIN_EXE_ablation_backfill"),
-        env!("CARGO_BIN_EXE_ablation_sampling"),
-        env!("CARGO_BIN_EXE_ablation_watermarks"),
-        env!("CARGO_BIN_EXE_ext_channel_partition"),
-        env!("CARGO_BIN_EXE_ext_finegrained"),
-        env!("CARGO_BIN_EXE_ext_qos_prefetch"),
-        env!("CARGO_BIN_EXE_ext_targeted_distress"),
         env!("CARGO_BIN_EXE_ext_solver_hot"),
         faults,
         batch,
@@ -98,13 +91,7 @@ fn malformed_flag_values_exit_2() {
         assert!(stderr.contains("--quik"), "{bin} --quik: {stderr}");
     }
     // Every binary that takes `--jobs` refuses a malformed value.
-    for bin in [
-        env!("CARGO_BIN_EXE_repro_all"),
-        env!("CARGO_BIN_EXE_ablation_backfill"),
-        env!("CARGO_BIN_EXE_ablation_sampling"),
-        env!("CARGO_BIN_EXE_ablation_watermarks"),
-        faults,
-    ] {
+    for bin in [env!("CARGO_BIN_EXE_repro_all"), faults] {
         let out = run(bin, &["--quick", "--jobs", "nope"], &results);
         assert_eq!(out.status.code(), Some(2), "{bin} --jobs nope: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -12,11 +12,12 @@ use crate::policy::{Policy, PolicyCtx, PolicyKind, PolicySnapshot};
 use kelp_host::{HostMachine, HostTaskId, StepScratch};
 use kelp_mem::solver::{FixedFlow, SolveStats, SolverTuning};
 use kelp_mem::topology::{MachineSpec, SocketId};
-use kelp_mem::MemCounters;
+use kelp_mem::{AdaptivePrefetch, DistressScope, MemCounters};
 use kelp_simcore::fault::{CounterFault, FaultInjector, FaultKind, FaultPlan};
 use kelp_simcore::time::SimTime;
 use kelp_workloads::model::{InstallCtx, PerfSnapshot, Workload, WorkloadKind};
 use kelp_workloads::MlWorkloadKind;
+use serde::{Deserialize, Serialize};
 
 pub use crate::config::ExperimentConfig;
 
@@ -67,8 +68,17 @@ impl ExperimentResult {
     }
 }
 
-/// A one-shot memory-system configuration hook.
-type MemTweak = Box<dyn FnOnce(&mut kelp_mem::MemSystem)>;
+/// The memory system's QoS hardware: who receives distress backpressure
+/// and whether prefetchers throttle themselves. The default is shipping
+/// hardware; the other settings model the paper's proposals, §VI-C
+/// per-domain distress delivery and §VI-B adaptive prefetching.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct MemHardware {
+    /// Who receives the distress signal.
+    pub distress: DistressScope,
+    /// Hardware QoS-aware prefetch throttling, when enabled.
+    pub adaptive_prefetch: Option<AdaptivePrefetch>,
+}
 
 /// Reusable per-worker execution state threaded through
 /// [`ExperimentBuilder::run_with`]: the machine's step workspace (solver
@@ -105,7 +115,7 @@ pub struct ExperimentBuilder {
     cpu: Vec<Box<dyn Workload>>,
     policy: Box<dyn Policy>,
     config: ExperimentConfig,
-    mem_tweak: Option<MemTweak>,
+    hardware: MemHardware,
     faults: Option<FaultInjector>,
     solver_tuning: SolverTuning,
 }
@@ -132,7 +142,7 @@ impl Experiment {
             cpu: Vec::new(),
             policy: policy.build(),
             config: ExperimentConfig::default(),
-            mem_tweak: None,
+            hardware: MemHardware::default(),
             faults: None,
             solver_tuning: SolverTuning::default(),
         }
@@ -151,7 +161,7 @@ impl Experiment {
             cpu: Vec::new(),
             policy: policy.build(),
             config: ExperimentConfig::default(),
-            mem_tweak: None,
+            hardware: MemHardware::default(),
             faults: None,
             solver_tuning: SolverTuning::default(),
         }
@@ -165,7 +175,7 @@ impl Experiment {
             cpu: Vec::new(),
             policy: policy.build(),
             config: ExperimentConfig::default(),
-            mem_tweak: None,
+            hardware: MemHardware::default(),
             faults: None,
             solver_tuning: SolverTuning::default(),
         }
@@ -176,12 +186,6 @@ impl ExperimentBuilder {
     /// Adds a low-priority CPU workload.
     pub fn add_cpu_workload(mut self, w: impl Workload + 'static) -> Self {
         self.cpu.push(Box::new(w));
-        self
-    }
-
-    /// Adds an already-boxed CPU workload.
-    pub fn add_cpu_workload_boxed(mut self, w: Box<dyn Workload>) -> Self {
-        self.cpu.push(w);
         self
     }
 
@@ -198,17 +202,10 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Overrides the machine spec (topology sweeps).
-    pub fn machine_spec(mut self, spec: MachineSpec) -> Self {
-        self.machine_spec = spec;
-        self
-    }
-
-    /// Applies a one-shot tweak to the memory system after construction —
-    /// used by the hardware-extension harnesses to enable §VI-B adaptive
-    /// prefetching or §VI-C per-domain distress delivery.
-    pub fn tweak_mem(mut self, f: impl FnOnce(&mut kelp_mem::MemSystem) + 'static) -> Self {
-        self.mem_tweak = Some(Box::new(f));
+    /// Runs on proposed QoS hardware instead of shipping hardware (the
+    /// `PolicySpec::ProposedHardware` runs).
+    pub(crate) fn hardware(mut self, hardware: MemHardware) -> Self {
+        self.hardware = hardware;
         self
     }
 
@@ -246,7 +243,7 @@ impl ExperimentBuilder {
             mut cpu,
             mut policy,
             config,
-            mem_tweak,
+            hardware,
             faults,
             solver_tuning,
         } = self;
@@ -255,8 +252,11 @@ impl ExperimentBuilder {
         let snc = policy.snc_mode();
         let (hp_domain, lp_domain) = policy.domains(socket);
         let mut machine = HostMachine::new(machine_spec, snc);
-        if let Some(tweak) = mem_tweak {
-            tweak(machine.mem_mut());
+        // Shipping hardware leaves the memory system as built.
+        if hardware != MemHardware::default() {
+            let mem = machine.mem_mut();
+            mem.set_distress_scope(hardware.distress);
+            mem.set_adaptive_prefetch(hardware.adaptive_prefetch);
         }
         machine.set_solver_tuning(solver_tuning);
         // Machine reuse across specs: adopt the previous run's solver

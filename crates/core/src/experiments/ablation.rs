@@ -7,6 +7,8 @@
 //! * [`saturation_watermark_sweep_with`] — how sensitive Kelp is to the one
 //!   watermark the paper's prior work did not have: the `FAST_ASSERTED`
 //!   saturation threshold.
+//!
+//! `repro_all` writes the three to `results/ablations.json` ([`Ablations`]).
 
 use crate::driver::ExperimentConfig;
 use crate::policy::PolicyKind;
@@ -15,6 +17,24 @@ use crate::runner::{CpuSpec, PolicySpec, RecordCursor, RunRecord, RunSpec, Runne
 use kelp_simcore::time::SimDuration;
 use kelp_workloads::{BatchKind, MlWorkloadKind};
 use serde::{Deserialize, Serialize};
+
+/// The three ablations' results.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Ablations {
+    /// The sampling-period sweep.
+    pub sampling: Vec<SamplingPoint>,
+    /// The backfill ablation, one row per CPU workload.
+    pub backfill: Vec<BackfillRow>,
+    /// The saturation-watermark sweep.
+    pub watermarks: Vec<WatermarkPoint>,
+}
+
+/// The sampling periods swept, in milliseconds.
+pub const SAMPLING_PERIODS_MS: [u64; 4] = [20, 50, 100, 200];
+
+/// The saturation high-watermarks swept; `f64::MAX` neutralizes the
+/// watermark (the saturation duty caps at 1.0).
+pub const SATURATION_WATERMARKS: [f64; 5] = [0.02, 0.05, 0.15, 0.4, f64::MAX];
 
 /// One sampling-period ablation point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,16 +84,29 @@ pub fn sampling_fold(periods_ms: &[u64], records: &[RunRecord]) -> Vec<SamplingP
         .collect()
 }
 
-/// Sweeps Kelp's sampling period through the given engine.
-pub fn sampling_sweep_with(
-    runner: &Runner,
-    periods_ms: &[u64],
-    base: &ExperimentConfig,
-) -> Vec<SamplingPoint> {
+/// Sweeps Kelp's sampling period over [`SAMPLING_PERIODS_MS`] through the
+/// given engine.
+pub fn sampling_sweep_with(runner: &Runner, base: &ExperimentConfig) -> Vec<SamplingPoint> {
     sampling_fold(
-        periods_ms,
-        &runner.run_batch(&sampling_specs(periods_ms, base)),
+        &SAMPLING_PERIODS_MS,
+        &runner.run_batch(&sampling_specs(&SAMPLING_PERIODS_MS, base)),
     )
+}
+
+/// Renders the sampling sweep.
+pub fn sampling_table(points: &[SamplingPoint]) -> Table {
+    let mut t = Table::new(
+        "Ablation — Kelp sampling period (CNN1 + Stitch x4)",
+        &["sample period (ms)", "ML perf (norm)", "CPU units/s"],
+    );
+    for p in points {
+        t.row(vec![
+            p.period_ms.to_string(),
+            Table::num(p.ml_norm),
+            format!("{:.3e}", p.cpu_throughput),
+        ]);
+    }
+    t
 }
 
 /// Spread of the ML outcome across a sampling sweep (max - min of the
@@ -157,11 +190,38 @@ pub fn backfill_ablation_with(runner: &Runner, config: &ExperimentConfig) -> Vec
     backfill_fold(&runner.run_batch(&backfill_specs(config)))
 }
 
+/// Renders the backfill ablation.
+pub fn backfill_table(rows: &[BackfillRow]) -> Table {
+    let mut t = Table::new(
+        "Ablation — backfilling (KP) vs subdomains only (KP-SD), CNN1 host",
+        &[
+            "CPU workload",
+            "KP-SD ML",
+            "KP ML",
+            "KP-SD CPU",
+            "KP CPU",
+            "CPU recovered",
+        ],
+    );
+    for r in rows {
+        t.row(vec![
+            r.cpu.clone(),
+            Table::num(r.sd_ml),
+            Table::num(r.kp_ml),
+            format!("{:.3e}", r.sd_cpu),
+            format!("{:.3e}", r.kp_cpu),
+            format!("{:+.1}%", r.cpu_recovered() * 100.0),
+        ]);
+    }
+    t
+}
+
 /// One watermark-sensitivity point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WatermarkPoint {
-    /// High saturation watermark used by the Kelp controller.
-    pub sat_high: f64,
+    /// High saturation watermark used by the Kelp controller; `None` when
+    /// neutralized (`f64::MAX` in the spec).
+    pub sat_high: Option<f64>,
     /// ML performance normalized to standalone.
     pub ml_norm: f64,
     /// Total CPU throughput in units/s.
@@ -193,7 +253,7 @@ pub fn watermark_fold(sat_highs: &[f64], records: &[RunRecord]) -> Vec<Watermark
         .map(|&sat_high| {
             let r = next.take();
             WatermarkPoint {
-                sat_high,
+                sat_high: (sat_high < f64::MAX).then_some(sat_high),
                 ml_norm: r.ml_performance.throughput / standalone.throughput,
                 cpu_throughput: r.cpu_total_throughput(),
             }
@@ -201,19 +261,18 @@ pub fn watermark_fold(sat_highs: &[f64], records: &[RunRecord]) -> Vec<Watermark
         .collect()
 }
 
-/// Sweeps Kelp's saturation high-watermark on the CNN1 + DRAM-aggressor
-/// mix through the given engine.
+/// Sweeps Kelp's saturation high-watermark over [`SATURATION_WATERMARKS`]
+/// on the CNN1 + DRAM-aggressor mix through the given engine.
 ///
 /// Low values throttle batch prefetchers at the slightest pressure (max ML
 /// protection, min CPU throughput); high values tolerate saturation.
 pub fn saturation_watermark_sweep_with(
     runner: &Runner,
-    sat_highs: &[f64],
     config: &ExperimentConfig,
 ) -> Vec<WatermarkPoint> {
     watermark_fold(
-        sat_highs,
-        &runner.run_batch(&watermark_specs(sat_highs, config)),
+        &SATURATION_WATERMARKS,
+        &runner.run_batch(&watermark_specs(&SATURATION_WATERMARKS, config)),
     )
 }
 
@@ -224,14 +283,8 @@ pub fn watermark_table(points: &[WatermarkPoint]) -> Table {
         &["sat high watermark", "ML perf (norm)", "CPU units/s"],
     );
     for p in points {
-        // `f64::MAX` neutralizes the watermark: the saturation duty caps at 1.0.
-        let sat_high = if p.sat_high == f64::MAX {
-            "off".to_string()
-        } else {
-            Table::num(p.sat_high)
-        };
         t.row(vec![
-            sat_high,
+            p.sat_high.map_or_else(|| "off".to_string(), Table::num),
             Table::num(p.ml_norm),
             format!("{:.3e}", p.cpu_throughput),
         ]);
@@ -246,7 +299,9 @@ mod tests {
     #[test]
     fn sampling_period_is_not_load_bearing() {
         // The paper's §IV-D insensitivity claim, at quick scale.
-        let points = sampling_sweep_with(&Runner::serial(), &[20, 80], &ExperimentConfig::quick());
+        let periods = [20, 80];
+        let specs = sampling_specs(&periods, &ExperimentConfig::quick());
+        let points = sampling_fold(&periods, &Runner::serial().run_batch(&specs));
         assert_eq!(points.len(), 2);
         assert!(
             sampling_spread(&points) < 0.08,
@@ -283,7 +338,7 @@ mod tests {
             ml_norm: 0.9,
             cpu_throughput: 1.5e9,
         };
-        let text = watermark_table(&[point(0.05), point(f64::MAX)]).render();
+        let text = watermark_table(&[point(Some(0.05)), point(None)]).render();
         assert!(text.contains("| off "), "{text}");
         assert!(text.contains("| 0.050 "), "{text}");
         for line in text.lines() {
@@ -294,12 +349,14 @@ mod tests {
     #[test]
     fn tight_saturation_watermark_protects_loose_one_does_not() {
         // The loose end must be unreachable (duty caps at 1.0).
-        let points = saturation_watermark_sweep_with(
-            &Runner::serial(),
-            &[0.05, f64::MAX],
-            &ExperimentConfig::quick(),
-        );
+        let sat_highs = [0.05, f64::MAX];
+        let specs = watermark_specs(&sat_highs, &ExperimentConfig::quick());
+        let points = watermark_fold(&sat_highs, &Runner::serial().run_batch(&specs));
         assert_eq!(points.len(), 2);
+        assert_eq!(
+            points[1].sat_high, None,
+            "the neutralized point writes null"
+        );
         let tight = points[0];
         let loose = points[1];
         assert!(

@@ -17,6 +17,10 @@ pub struct FleetFigure {
     pub fraction_above_70pct: f64,
 }
 
+/// The fleet-model seed of the committed Figure 2 (`results/fig02_fleet_bw.json`),
+/// which the scorecard's Figure 2 claim reads too.
+pub const FIGURE2_SEED: u64 = 2019;
+
 /// Runs the fleet model and extracts the Figure 2 series.
 pub fn figure2(seed: u64) -> FleetFigure {
     let result: FleetResult = FleetModel::default().simulate(seed);

@@ -12,6 +12,7 @@
 //! | [`remote`] | Figures 15 & 16 — remote-memory interference |
 //! | [`knee`] | the §III-A throughput–latency sweep the paper omits |
 //! | [`ablation`] | sampling-period / backfill / watermark ablations |
+//! | [`extensions`] | §VI-B/C/D hardware proposals, §IV-A channel partitioning |
 //! | [`cluster`] | §II-D tail amplification at cluster scale |
 //! | [`fleet_faults`] | ISSUE 7 — machine-lifecycle faults, self-healing vs static placement |
 //! | [`scorecard`] | programmatic check of every headline claim |
@@ -25,6 +26,7 @@
 pub mod ablation;
 pub mod backpressure;
 pub mod cluster;
+pub mod extensions;
 pub mod faults;
 pub mod fleet;
 pub mod fleet_faults;
@@ -65,7 +67,8 @@ pub fn standalone_reference_with(
 /// rest, so the cache never accumulates entries from abandoned
 /// configurations. The scorecard's and the tail study's runs need no entry
 /// here: they are a subset of [`overall::specs`]. Each figure's grid is the
-/// constant its `figureN_with` runs.
+/// constant its `figureN_with` runs. The ablations and the extension
+/// studies come last, so the figures' prefix of the list is stable.
 pub fn repro_specs(config: &ExperimentConfig) -> Vec<RunSpec> {
     use kelp_workloads::BatchKind;
     let mut specs = Vec::new();
@@ -92,6 +95,19 @@ pub fn repro_specs(config: &ExperimentConfig) -> Vec<RunSpec> {
     specs.extend(knee::specs(&knee::DEFAULT_OFFERED_QPS, config));
     specs.extend(remote::specs(&remote::FIGURE16_WORKLOADS, config));
     specs.extend(faults::specs(config));
+    specs.extend(ablation::sampling_specs(
+        &ablation::SAMPLING_PERIODS_MS,
+        config,
+    ));
+    specs.extend(ablation::backfill_specs(config));
+    specs.extend(ablation::watermark_specs(
+        &ablation::SATURATION_WATERMARKS,
+        config,
+    ));
+    for study in extensions::Study::HW_PROPOSALS {
+        specs.extend(study.specs(config));
+    }
+    specs.extend(extensions::Study::ChannelPartition.specs(config));
     specs
 }
 

@@ -75,7 +75,7 @@ pub fn run_scorecard_with(runner: &Runner, config: &ExperimentConfig) -> Scoreca
     let mut claims = Vec::new();
 
     // Figure 2 (analytic; no simulator runs).
-    let fleet = super::fleet::figure2(1);
+    let fleet = super::fleet::figure2(super::fleet::FIGURE2_SEED);
     claims.push(Claim {
         source: "Fig 2".into(),
         paper: "~16% of machines above 70% of peak BW".into(),

@@ -8,8 +8,6 @@
 //! Baseline … ML task performance gain per unit of CPU task throughput loss
 //! (higher is better)."
 
-use serde::{Deserialize, Serialize};
-
 /// Normalized performance: `measured / reference` (1.0 = parity).
 pub fn normalized(measured: f64, reference: f64) -> f64 {
     if reference <= 0.0 {
@@ -49,35 +47,6 @@ pub fn efficiency(
     Some((gain / loss).max(0.0))
 }
 
-/// A labelled series of per-mix values with paper-style averaging.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricSeries {
-    /// Label (e.g. a policy name).
-    pub label: String,
-    /// Per-mix values.
-    pub values: Vec<f64>,
-}
-
-impl MetricSeries {
-    /// Creates a series.
-    pub fn new(label: impl Into<String>, values: Vec<f64>) -> Self {
-        MetricSeries {
-            label: label.into(),
-            values,
-        }
-    }
-
-    /// Arithmetic mean (paper's ML-slowdown averaging).
-    pub fn arithmetic_mean(&self) -> f64 {
-        kelp_simcore::stats::arithmetic_mean(&self.values)
-    }
-
-    /// Harmonic mean (paper's CPU-throughput averaging).
-    pub fn harmonic_mean(&self) -> f64 {
-        kelp_simcore::stats::harmonic_mean(&self.values)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,12 +76,5 @@ mod tests {
     fn efficiency_clamps_negative_gain() {
         let e = efficiency(0.5, 0.6, 0.6, 1.0).unwrap();
         assert_eq!(e, 0.0);
-    }
-
-    #[test]
-    fn series_means() {
-        let s = MetricSeries::new("KP", vec![1.0, 2.0, 4.0]);
-        assert!((s.arithmetic_mean() - 7.0 / 3.0).abs() < 1e-12);
-        assert!((s.harmonic_mean() - 12.0 / 7.0).abs() < 1e-12);
     }
 }

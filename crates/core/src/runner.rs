@@ -24,7 +24,7 @@
 //! outside the records, in the benchmark harnesses.
 
 use crate::config::ExperimentConfig;
-use crate::driver::{ExecScratch, Experiment, ExperimentBuilder, ExperimentResult};
+use crate::driver::{ExecScratch, Experiment, ExperimentBuilder, ExperimentResult, MemHardware};
 use crate::experiments::backpressure::FixedPrefetchPolicy;
 use crate::measure::Measurements;
 use crate::policy::{KelpPolicy, PolicyKind, PolicySnapshot};
@@ -148,6 +148,11 @@ pub enum PolicySpec {
     /// Full Kelp with the saturation high-watermark overridden and the
     /// bandwidth/latency watermarks neutralized (the watermark ablation).
     KelpSatWatermark(f64),
+    /// Subdomains with every LP prefetcher left on (Figure 7's
+    /// `FixedPrefetch(0.0)`), run on proposed QoS hardware: the §VI-B and
+    /// §VI-C studies. A new variant rather than a `RunSpec` field, so the
+    /// JSON, and with it the cache key, of every other spec is unchanged.
+    ProposedHardware(MemHardware),
 }
 
 impl From<PolicyKind> for PolicySpec {
@@ -277,7 +282,9 @@ impl RunSpec {
     pub fn build(&self) -> Result<ExperimentBuilder, RunError> {
         let policy_kind = match &self.policy {
             PolicySpec::Kind(k) => *k,
-            PolicySpec::FixedPrefetch(_) => PolicyKind::KelpSubdomain,
+            PolicySpec::FixedPrefetch(_) | PolicySpec::ProposedHardware(_) => {
+                PolicyKind::KelpSubdomain
+            }
             PolicySpec::KelpSatWatermark(_) => PolicyKind::Kelp,
         };
         let mut builder = match &self.ml {
@@ -316,6 +323,9 @@ impl RunSpec {
             PolicySpec::FixedPrefetch(disabled) => builder.custom_policy(Box::new(
                 FixedPrefetchPolicy::with_disabled_fraction(*disabled),
             )),
+            PolicySpec::ProposedHardware(hardware) => builder
+                .custom_policy(Box::new(FixedPrefetchPolicy::with_disabled_fraction(0.0)))
+                .hardware(*hardware),
             PolicySpec::KelpSatWatermark(sat_high) => {
                 let MlSpec::Standard(ml) = &self.ml else {
                     return Err(RunError::invalid(
@@ -1031,16 +1041,27 @@ mod tests {
         )
     }
 
+    /// A §VI proposed-hardware spec with both proposals switched on.
+    fn proposed_hardware() -> PolicySpec {
+        PolicySpec::ProposedHardware(MemHardware {
+            distress: kelp_mem::DistressScope::PerDomain,
+            adaptive_prefetch: Some(kelp_mem::AdaptivePrefetch::default()),
+        })
+    }
+
     #[test]
     fn spec_roundtrips_through_json() {
-        let spec = quick_spec()
+        let fixed = quick_spec()
             .with_cpu(CpuSpec::new(BatchKind::Stitch, 4).with_label("Stitch#1"))
             .with_policy(PolicySpec::FixedPrefetch(0.5))
             .with_seed(3);
-        let text = serde_json::to_string(&spec).unwrap();
-        let back: RunSpec = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.hash(), spec.hash());
+        let proposed = fixed.clone().with_policy(proposed_hardware());
+        for spec in [fixed, proposed] {
+            let text = serde_json::to_string(&spec).unwrap();
+            let back: RunSpec = serde_json::from_str(&text).unwrap();
+            assert_eq!(back, spec);
+            assert_eq!(back.hash(), spec.hash());
+        }
     }
 
     #[test]
@@ -1076,8 +1097,12 @@ mod tests {
         let a = quick_spec();
         let b = quick_spec().with_seed(1);
         let c = quick_spec().with_cpu(CpuSpec::new(BatchKind::Stream, 16));
+        let d = quick_spec().with_policy(proposed_hardware());
+        let e = quick_spec().with_policy(PolicySpec::FixedPrefetch(0.0));
         assert_ne!(a.hash(), b.hash());
         assert_ne!(a.hash(), c.hash());
+        assert_ne!(d.hash(), e.hash());
+        assert_ne!(d.hash(), a.hash());
     }
 
     #[test]

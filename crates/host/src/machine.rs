@@ -599,16 +599,6 @@ impl HostMachine {
         &self.tasks[id.0].spec
     }
 
-    /// Ids of all live tasks.
-    pub fn live_tasks(&self) -> Vec<HostTaskId> {
-        self.tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.alive)
-            .map(|(i, _)| HostTaskId(i))
-            .collect()
-    }
-
     /// Registers a fixed flow; returns its id.
     ///
     /// # Panics

@@ -20,8 +20,9 @@ use serde::{Deserialize, Serialize};
 /// which is exactly the cross-subdomain leak Kelp has to manage (§IV-B).
 /// The paper's §VI-C proposes delivering backpressure only to the offending
 /// threads; [`DistressScope::PerDomain`] models that proposal: only cores in
-/// the saturating subdomain are throttled. The `ext_targeted_distress`
-/// harness quantifies what the hardware change would buy.
+/// the saturating subdomain are throttled. `repro_all`'s §VI-C study
+/// (`kelp::experiments::extensions`, `results/ext_hw_proposals.json`)
+/// quantifies what the hardware change would buy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum DistressScope {
     /// The signal throttles every core on the socket (real hardware).

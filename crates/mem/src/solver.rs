@@ -520,8 +520,9 @@ pub struct MemSystem {
 /// with the local controller's utilization: full coverage below
 /// `start_util`, ramping linearly down to `min_fraction` at saturation.
 /// With this enabled the hardware does by itself what Kelp does by toggling
-/// prefetchers in software — the `ext_qos_prefetch` harness compares the
-/// two.
+/// prefetchers in software — `repro_all`'s §VI-B study
+/// (`kelp::experiments::extensions`, `results/ext_hw_proposals.json`)
+/// compares the two.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdaptivePrefetch {
     /// Utilization below which prefetchers run at full aggressiveness.
@@ -590,11 +591,6 @@ impl MemSystem {
     /// The SNC mode.
     pub fn snc(&self) -> SncMode {
         self.snc
-    }
-
-    /// Enables or disables SNC.
-    pub fn set_snc(&mut self, snc: SncMode) {
-        self.snc = snc;
     }
 
     /// Sets the CAT allocation (applies to every cache domain).

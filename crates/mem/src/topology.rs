@@ -103,11 +103,6 @@ impl SocketSpec {
     pub fn peak_gbps(&self) -> f64 {
         self.channels as f64 * self.channel_gbps
     }
-
-    /// Hardware threads on this socket.
-    pub fn hw_threads(&self) -> usize {
-        self.cores * self.smt_ways
-    }
 }
 
 impl Default for SocketSpec {

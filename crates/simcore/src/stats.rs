@@ -1,14 +1,12 @@
 //! Online statistics.
 //!
-//! The evaluation reports means, harmonic means, percentiles (95 %-ile tail
-//! latency for RNN1, 99 %-ile fleet bandwidth for Figure 2) and histograms.
-//! This module provides:
+//! The evaluation reports means, harmonic means and percentiles (95 %-ile
+//! tail latency for RNN1, 99 %-ile fleet bandwidth for Figure 2). This
+//! module provides:
 //!
 //! * [`OnlineStats`] — Welford mean/variance, min/max, counts.
 //! * [`SampleSet`] — exact percentile computation over retained samples.
-//! * [`P2Quantile`] — the P² streaming quantile estimator (constant memory),
-//!   used where sample counts are unbounded.
-//! * [`Histogram`] — fixed-width binning for distribution dumps.
+//! * [`P2Quantile`] — the P² streaming quantile estimator (constant memory).
 
 use serde::{Deserialize, Serialize};
 
@@ -361,91 +359,6 @@ impl P2Quantile {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with out-of-range counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    below: u64,
-    above: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `bins` equal-width bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi <= lo` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo, "histogram range must be non-empty");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            below: 0,
-            above: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        if x < self.lo {
-            self.below += 1;
-        } else if x >= self.hi {
-            self.above += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / width) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Count of observations below the range.
-    pub fn below(&self) -> u64 {
-        self.below
-    }
-
-    /// Count of observations at or above the range's upper bound.
-    pub fn above(&self) -> u64 {
-        self.above
-    }
-
-    /// Total recorded observations, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.below + self.above
-    }
-
-    /// Fraction of in-or-above-range observations at or above `x`.
-    ///
-    /// Used for the Figure 2 "percentage of machines above X% of peak BW"
-    /// readout. Counts below the range are included in the denominator.
-    pub fn fraction_at_or_above(&self, x: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        let mut count = self.above;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let bin_lo = self.lo + i as f64 * width;
-            if bin_lo >= x {
-                count += c;
-            }
-        }
-        count as f64 / total as f64
-    }
-}
-
 /// Harmonic mean of a slice, ignoring non-positive entries.
 ///
 /// Returns 0 when no positive entries exist.
@@ -628,30 +541,6 @@ mod tests {
     #[should_panic(expected = "quantile must be in (0,1)")]
     fn p2_rejects_bad_quantile() {
         P2Quantile::new(1.0);
-    }
-
-    #[test]
-    fn histogram_binning_and_tails() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.5, 9.99, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.below(), 1);
-        assert_eq!(h.above(), 2);
-        assert_eq!(h.bins()[0], 2);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_fraction_at_or_above() {
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 / 10.0 + 0.05);
-        }
-        assert!((h.fraction_at_or_above(0.7) - 0.3).abs() < 1e-12);
-        assert!((h.fraction_at_or_above(0.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

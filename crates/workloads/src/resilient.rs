@@ -358,11 +358,6 @@ impl ResilientFleet {
         &self.placer
     }
 
-    /// Ticks advanced so far.
-    pub fn tick_count(&self) -> u64 {
-        self.tick
-    }
-
     /// Number of high-priority jobs currently placed.
     pub fn jobs_placed(&self) -> usize {
         self.jobs

@@ -2,13 +2,12 @@
 //! runtime-dynamics features built on top of the paper's core.
 
 use kelp::driver::{Experiment, ExperimentConfig};
-use kelp::experiments::backpressure::FixedPrefetchPolicy;
+use kelp::experiments::extensions::{Outcome, Study};
 use kelp::experiments::standalone_reference_with;
 use kelp::policy::{KelpPolicy, PolicyKind};
 use kelp::profile::ProfileLibrary;
 use kelp::runner::Runner;
-use kelp_mem::topology::{MachineSpec, SncMode, SocketId};
-use kelp_mem::{AdaptivePrefetch, DistressScope};
+use kelp_mem::topology::{SncMode, SocketId};
 use kelp_simcore::time::{SimDuration, SimTime};
 use kelp_workloads::model::WindowedWorkload;
 use kelp_workloads::{BatchKind, BatchWorkload, MlWorkloadKind};
@@ -18,25 +17,20 @@ fn quick() -> ExperimentConfig {
     ExperimentConfig::from_env()
 }
 
+/// CNN1's outcomes against aggressor H, one per configuration of a §VI
+/// study, with the study's specs run through a `Runner`.
+fn cnn1_outcomes(study: Study) -> Vec<Outcome> {
+    let result = study.run_with(&Runner::serial(), &quick());
+    let cnn1 = result.rows.into_iter().find(|row| row.ml == "CNN1");
+    cnn1.expect("the study runs CNN1").outcomes
+}
+
 /// §VI-C: with per-domain distress delivery, subdomains alone are enough —
 /// no prefetcher management needed.
 #[test]
 fn targeted_distress_makes_subdomains_sufficient() {
-    let ml = MlWorkloadKind::Cnn1;
-    let standalone = standalone_reference_with(&Runner::serial(), ml, &quick());
-    let run = |scope: DistressScope| {
-        Experiment::builder(ml, PolicyKind::KelpSubdomain)
-            .custom_policy(Box::new(FixedPrefetchPolicy::with_disabled_fraction(0.0)))
-            .add_cpu_workload(BatchWorkload::new(BatchKind::DramAggressor, 14))
-            .tweak_mem(move |mem| mem.set_distress_scope(scope))
-            .config(quick())
-            .run()
-            .ml_performance
-            .throughput
-            / standalone.throughput
-    };
-    let global = run(DistressScope::GlobalSocket);
-    let targeted = run(DistressScope::PerDomain);
+    let outcomes = cnn1_outcomes(Study::TargetedDistress);
+    let (global, targeted) = (outcomes[0].ml_norm, outcomes[1].ml_norm);
     assert!(global < 0.8, "real hardware leaks: {global}");
     assert!(targeted > 0.95, "targeted delivery isolates: {targeted}");
 }
@@ -45,33 +39,18 @@ fn targeted_distress_makes_subdomains_sufficient() {
 /// software toggling, but keeps more low-priority throughput.
 #[test]
 fn adaptive_prefetch_beats_software_toggling_on_throughput() {
-    let ml = MlWorkloadKind::Cnn1;
-    let standalone = standalone_reference_with(&Runner::serial(), ml, &quick());
-    let run = |disabled: f64, hw: bool| {
-        let mut b = Experiment::builder(ml, PolicyKind::KelpSubdomain)
-            .custom_policy(Box::new(FixedPrefetchPolicy::with_disabled_fraction(
-                disabled,
-            )))
-            .add_cpu_workload(BatchWorkload::new(BatchKind::DramAggressor, 14))
-            .config(quick());
-        if hw {
-            b = b.tweak_mem(|mem| mem.set_adaptive_prefetch(Some(AdaptivePrefetch::default())));
-        }
-        b.run()
-    };
-    let software = run(1.0, false);
-    let hardware = run(0.0, true);
-    let sw_ml = software.ml_performance.throughput / standalone.throughput;
-    let hw_ml = hardware.ml_performance.throughput / standalone.throughput;
+    let outcomes = cnn1_outcomes(Study::QosPrefetch);
+    let (software, hardware) = (outcomes[1], outcomes[2]);
+    let (sw_ml, hw_ml) = (software.ml_norm, hardware.ml_norm);
     assert!(
         hw_ml > sw_ml - 0.06,
         "HW must protect comparably: {hw_ml} vs {sw_ml}"
     );
     assert!(
-        hardware.cpu_total_throughput() > software.cpu_total_throughput(),
+        hardware.cpu_throughput > software.cpu_throughput,
         "HW throttling is finer-grained, so LP work keeps more throughput: {} vs {}",
-        hardware.cpu_total_throughput(),
-        software.cpu_total_throughput()
+        hardware.cpu_throughput,
+        software.cpu_throughput
     );
 }
 
@@ -153,35 +132,23 @@ fn kelp_adapts_to_windowed_bursts() {
     );
 }
 
-/// The mem_tweak hook composes with ordinary runs and does not disturb an
-/// untweaked identical experiment (guard against cache leakage across runs).
+/// Proposed hardware configures only its own run's memory system. In one
+/// serial batch every run adopts the previous run's `ExecScratch`; a study
+/// runs each mix's standalone reference before its configurations, so
+/// here every proposal's run hands its scratch to a shipping-hardware run.
+/// Every record must equal its spec executed alone.
 #[test]
 fn tweak_is_scoped_to_its_run() {
-    let ml = MlWorkloadKind::Cnn1;
-    let base = || {
-        Experiment::builder(ml, PolicyKind::Baseline)
-            .add_cpu_workload(BatchWorkload::new(BatchKind::DramAggressor, 14))
-            .config(quick())
-            .run()
-            .ml_performance
-            .throughput
-    };
-    let a = base();
-    // A run with a drastic tweak in between...
-    let _ = Experiment::builder(ml, PolicyKind::Baseline)
-        .add_cpu_workload(BatchWorkload::new(BatchKind::DramAggressor, 14))
-        .tweak_mem(|mem| {
-            mem.set_distress(kelp_mem::DistressModel {
-                threshold: 0.1,
-                ramp_exponent: 1.0,
-                max_throttle: 0.9,
-            })
-        })
-        .config(quick())
-        .run();
-    // ...must not contaminate a fresh untweaked run.
-    let b = base();
-    assert_eq!(a, b);
-    // And the machine spec constructor stays pristine.
-    assert_eq!(MachineSpec::dual_socket(), MachineSpec::dual_socket());
+    let mut specs = Study::TargetedDistress.specs(&quick());
+    specs.extend(Study::QosPrefetch.specs(&quick()));
+    let batch = Runner::serial().run_batch(&specs);
+    for (spec, record) in specs.iter().zip(&batch) {
+        assert_eq!(
+            *record,
+            spec.execute(),
+            "{:?} on {:?}",
+            spec.policy,
+            spec.ml
+        );
+    }
 }

@@ -9,9 +9,19 @@ use kelp::driver::ExperimentConfig;
 use kelp::experiments::repro_specs;
 use kelp::runner::RunSpec;
 
-/// [`grid_digest`] of `repro_specs(&ExperimentConfig::default())`, computed
-/// by this test on the enumeration code before its allocation tuning.
-const REPRO_GRID_DIGEST: u64 = 0x6510_80c2_014f_72bc;
+/// [`grid_digest`] of the figures' part of the grid, the first
+/// [`FIGURE_SPECS`] specs of `repro_specs(&ExperimentConfig::default())`,
+/// computed by this test on the enumeration code before its allocation
+/// tuning.
+const FIGURE_GRID_DIGEST: u64 = 0x6510_80c2_014f_72bc;
+
+/// How many specs the figures enumerate. The ablations and the extension
+/// studies follow them, so adding those left every figure's key in place.
+const FIGURE_SPECS: usize = 262;
+
+/// [`grid_digest`] of the whole grid, re-pinned when the ablations and the
+/// extension studies joined it.
+const REPRO_GRID_DIGEST: u64 = 0xd745_1fc1_3f08_9644;
 
 /// FNV-1a over the little-endian bytes of each spec's hash, in order.
 fn grid_digest(specs: &[RunSpec]) -> u64 {
@@ -26,6 +36,12 @@ fn grid_digest(specs: &[RunSpec]) -> u64 {
 #[test]
 fn repro_spec_grid_digest_is_pinned() {
     let specs = repro_specs(&ExperimentConfig::default());
+    assert!(specs.len() > FIGURE_SPECS, "{} specs", specs.len());
+    assert_eq!(
+        grid_digest(&specs[..FIGURE_SPECS]),
+        FIGURE_GRID_DIGEST,
+        "a figure's spec grid changed"
+    );
     let digest = grid_digest(&specs);
     assert_eq!(
         digest,

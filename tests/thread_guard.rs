@@ -1,7 +1,15 @@
-//! `Runner`'s persistent pool is the workspace's one parallel mechanism.
-//! This guard keeps it that way: no Rust file opens a `thread::scope`
-//! region, only `crates/core/src/runner.rs` calls `thread::spawn`, and the
-//! pool's `Drop` still joins its workers.
+//! Two guards over the workspace's sources, both keeping one mechanism
+//! where there were two.
+//!
+//! `Runner`'s persistent pool is the workspace's one parallel mechanism:
+//! no Rust file opens a `thread::scope` region, only
+//! `crates/core/src/runner.rs` calls `thread::spawn`, and the pool's `Drop`
+//! still joins its workers.
+//!
+//! `RunSpec` is the one way library and binary code runs an experiment:
+//! outside `runner.rs` (where `RunSpec::build` lives), no crate source calls
+//! `Experiment::builder` except in its `#[cfg(test)]` modules and comments.
+//! Integration tests and `examples/` may still build experiments by hand.
 //!
 //! The pool's behaviour is tested elsewhere: pool ≡ serial bit identity,
 //! error records included, in `tests/engine_hot.rs`, and clones of one
@@ -30,6 +38,27 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Every Rust file under the repo's `dirs` except this one, as (path
+/// relative to the repo, contents).
+fn sources(dirs: &[&str]) -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in dirs {
+        walk(&root.join(dir), &mut files);
+    }
+    files
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy();
+            (
+                rel.replace('\\', "/"),
+                std::fs::read_to_string(path).unwrap_or_default(),
+            )
+        })
+        .filter(|(rel, _)| rel != SELF)
+        .collect()
+}
+
 /// The `impl Drop for WorkerPool` block, up to the first closing brace at
 /// column 0 (the file is rustfmt-formatted).
 fn worker_pool_drop_impl(src: &str) -> Option<&str> {
@@ -39,11 +68,7 @@ fn worker_pool_drop_impl(src: &str) -> Option<&str> {
 
 #[test]
 fn runner_pool_is_the_only_thread_code() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        walk(&root.join(dir), &mut files);
-    }
+    let files = sources(&["crates", "src", "tests", "examples"]);
     assert!(
         files.len() > 50,
         "workspace walk found only {} files",
@@ -52,16 +77,7 @@ fn runner_pool_is_the_only_thread_code() {
 
     let mut offenders = Vec::new();
     let mut runner_src = None;
-    for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if rel == SELF {
-            continue;
-        }
-        let src = std::fs::read_to_string(path).unwrap_or_default();
+    for (rel, src) in files {
         if src.contains("thread::scope") {
             offenders.push(format!("{rel}: thread::scope"));
         }
@@ -86,5 +102,37 @@ fn runner_pool_is_the_only_thread_code() {
     assert!(
         drop_impl.contains(".join()"),
         "`Drop for WorkerPool` no longer joins its workers: {drop_impl}"
+    );
+}
+
+/// The code lines of a rustfmt-formatted crate source: comment lines are
+/// dropped, and so is its unit-test module, which closes the file.
+fn non_test_code(src: &str) -> impl Iterator<Item = &str> {
+    let code = src
+        .split("#[cfg(test)]\nmod tests {")
+        .next()
+        .unwrap_or_default();
+    code.lines().filter(|l| !l.trim_start().starts_with("//"))
+}
+
+#[test]
+fn run_spec_is_the_only_way_to_run_an_experiment() {
+    let mut offenders = Vec::new();
+    let mut runner_builds = false;
+    for (rel, src) in sources(&["crates"]) {
+        if !rel.contains("/src/") {
+            continue;
+        }
+        let calls = non_test_code(&src).any(|l| l.contains("Experiment::builder"));
+        if rel == RUNNER {
+            runner_builds = calls;
+        } else if calls {
+            offenders.push(rel);
+        }
+    }
+    assert!(runner_builds, "{RUNNER} no longer builds experiments");
+    assert!(
+        offenders.is_empty(),
+        "experiments built outside RunSpec::build: {offenders:?}"
     );
 }
